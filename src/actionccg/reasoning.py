@@ -118,10 +118,7 @@ class FactBase:
     retracted: tuple[Literal, ...] = ()
 
     def __contains__(self, literal: Literal) -> bool:
-        return literal in set(self.literals)
-
-    def positives(self) -> tuple[Literal, ...]:
-        return tuple(l for l in self.literals if l.positive)
+        return literal in self.literals
 
     def with_literal(self, literal: Literal) -> "FactBase":
         """Record one ground literal, resolving any contradiction.
@@ -129,12 +126,13 @@ class FactBase:
         A negative literal retracts the positive fact it denies; a
         positive literal simply replaces a stale negative record.
         """
-        if literal in self:
+        present = set(self.literals)
+        if literal in present:
             return self
         contrary = literal.negated()
         literals = self.literals
         retracted = self.retracted
-        if contrary in set(literals):
+        if contrary in present:
             literals = tuple(l for l in literals if l != contrary)
             if contrary.positive:
                 retracted = retracted + (contrary,)
@@ -208,7 +206,8 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     """Close ``kb`` under ``rules``; derived facts keep discovery order.
 
     Semi-naive evaluation: each round only explores rule instantiations
-    that touch at least one fact discovered in the previous round.
+    that touch at least one fact discovered in the previous round; joins
+    probe an ``_index`` of all facts and one of that round's new facts.
     Raises BudgetExceededError once more than ``max_derived`` new facts
     appear, which catches runaway rule sets.
     """
@@ -216,15 +215,15 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     facts: list[Literal] = [l for l in kb.literals if l.positive]
     known = {l.atom for l in facts}
     negative = {l.atom for l in kb.literals if not l.positive}
-    delta = list(facts)
+    # the first round's delta is every fact, so both joins share one index
+    everything = latest = _index(facts, {})
     derived: list[Literal] = []
-    while delta:
+    while latest:
         fresh: list[Literal] = []
         fresh_atoms: set = set()
-        delta_set = {l.atom for l in delta}
         for rule in rules:
             for pivot in range(len(rule.body)):
-                for binding in _join(rule.body, 0, pivot, {}, facts, delta_set):
+                for binding in _join(rule.body, 0, pivot, {}, everything, latest):
                     head = _instantiate(rule.head, binding)
                     if head.atom in known or head.atom in fresh_atoms:
                         continue
@@ -236,28 +235,44 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
                     if len(derived) + len(fresh) > max_derived:
                         raise BudgetExceededError(
                             f"more than {max_derived} derived literals")
-        facts.extend(fresh)
+        _index(fresh, everything)
         known.update(fresh_atoms)
         derived.extend(fresh)
-        delta = fresh
+        latest = _index(fresh, {})
     return FactBase(kb.literals + tuple(derived), kb.retracted)
 
 
-def _join(body, index, pivot, binding, facts, delta_set):
+def _index(facts, index: dict) -> dict:
+    """Append ``facts`` under (predicate, arity) and (predicate, position, value)."""
+    for fact in facts:
+        index.setdefault((fact.predicate, len(fact.args)), []).append(fact)
+        for position, value in enumerate(fact.args):
+            index.setdefault((fact.predicate, position, value), []).append(fact)
+    return index
+
+
+def _join(body, index, pivot, binding, everything, delta):
     """Bindings matching body literals left to right.
 
-    The pivot literal must match inside the last round's delta; other
-    positions range over the whole fact list.
+    The pivot literal takes candidates from the delta index, the others
+    from the all-facts index: the bucket of the first constant or bound
+    argument, else of predicate and arity.  A bucket lists the facts a
+    full scan would visit, in scan order, so keeping the written join
+    order (never reordering by selectivity) keeps discovery order.
     """
     if index == len(body):
         yield binding
         return
-    for fact in facts:
-        if index == pivot and fact.atom not in delta_set:
-            continue
-        extended = _match(body[index], fact, binding)
+    pattern = body[index]
+    key = (pattern.predicate, len(pattern.args))
+    for position, arg in enumerate(pattern.args):
+        if arg in binding or not is_rule_variable(arg):
+            key = (pattern.predicate, position, binding.get(arg, arg))
+            break
+    for fact in (delta if index == pivot else everything).get(key, ()):
+        extended = _match(pattern, fact, binding)
         if extended is not None:
-            yield from _join(body, index + 1, pivot, extended, facts, delta_set)
+            yield from _join(body, index + 1, pivot, extended, everything, delta)
 
 
 @dataclass(frozen=True)

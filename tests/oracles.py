@@ -4,7 +4,8 @@ Nothing here reuses the package's substitution, reduction, chart packing,
 or semi-naive join machinery.  Terms are converted to a de Bruijn tuple
 encoding and manipulated with textbook index shifting; parsing is redone
 by recursive enumeration of every bracketing; chaining is a naive
-re-scan; gradients come from central finite differences.
+re-scan, or an unindexed semi-naive loop where discovery order matters;
+gradients come from central finite differences.
 """
 
 from collections import Counter
@@ -281,6 +282,70 @@ def naive_chain_atoms(kb, rules):
                 facts.append(type(rule.head)(True, head[0], head[1]))
                 changed = True
     return atoms
+
+
+def seminaive_chain_literals(kb, rules):
+    """Closed literals in discovery order, from an unindexed semi-naive loop.
+
+    Every body position scans the whole fact list and the pivot position
+    keeps only facts from the previous round, so the order in which
+    bindings, and hence derived facts, appear is the written join order
+    over the facts in insertion order.
+    """
+    rules = list(rules)
+    facts = [l for l in kb.literals if l.positive]
+    known = {l.atom for l in facts}
+    negative = {l.atom for l in kb.literals if not l.positive}
+    delta = list(facts)
+    derived = []
+    while delta:
+        fresh = []
+        fresh_atoms = set()
+        delta_set = {l.atom for l in delta}
+        for rule in rules:
+            for pivot in range(len(rule.body)):
+                for binding in _scan_join(rule.body, 0, pivot, {}, facts,
+                                          delta_set):
+                    head = type(rule.head)(
+                        rule.head.positive, rule.head.predicate,
+                        tuple(binding.get(a, a) for a in rule.head.args))
+                    if head.atom in known or head.atom in fresh_atoms:
+                        continue
+                    if head.atom in negative:
+                        continue
+                    fresh.append(head)
+                    fresh_atoms.add(head.atom)
+        facts.extend(fresh)
+        known.update(fresh_atoms)
+        derived.extend(fresh)
+        delta = fresh
+    return kb.literals + tuple(derived)
+
+
+def _scan_join(body, index, pivot, binding, facts, delta_set):
+    if index == len(body):
+        yield binding
+        return
+    for fact in facts:
+        if index == pivot and fact.atom not in delta_set:
+            continue
+        extended = _scan_match(body[index], fact, binding)
+        if extended is not None:
+            yield from _scan_join(body, index + 1, pivot, extended, facts,
+                                  delta_set)
+
+
+def _scan_match(pattern, fact, binding):
+    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
+        return None
+    out = dict(binding)
+    for p, f in zip(pattern.args, fact.args):
+        if p[:1].isupper():
+            if out.setdefault(p, f) != f:
+                return None
+        elif p != f:
+            return None
+    return out
 
 
 # --- gradients ----------------------------------------------------------

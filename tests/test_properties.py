@@ -17,7 +17,8 @@ from actionccg.errors import (ConstantFunctionWarning, NonTerminationError,
                               NoParseError, UnknownTokenError)
 from actionccg.grammar import LexEntry, Lexicon, parse_category
 from actionccg.learning import TrainingSample
-from actionccg.reasoning import FactBase, Literal, forward_chain, parse_axiom
+from actionccg.reasoning import (AxiomRule, FactBase, Literal, forward_chain,
+                                 parse_axiom)
 from actionccg.syntax import parse_term
 from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
                              Not, Or, Pred, Var, alpha_eq, beta_reduce,
@@ -26,7 +27,7 @@ from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
 from oracles import (OracleBudgetError, analytic_gradient, brute_force_roots,
                      db_alpha_eq, db_normal_form, db_subst_free,
                      derivation_signature, naive_chain_atoms,
-                     numeric_gradient, to_debruijn)
+                     numeric_gradient, seminaive_chain_literals, to_debruijn)
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -281,19 +282,23 @@ RULE_TEXTS = (
 RULES = tuple(parse_axiom(text) for text in RULE_TEXTS)
 
 
+SHAPES = (("divided", 1), ("contained", 2), ("on_top", 2))
+
+
 @st.composite
-def ground_literals(draw):
-    predicate = draw(st.sampled_from(("divided", "contained", "on_top")))
-    arity = 1 if predicate == "divided" else 2
-    args = tuple(draw(st.sampled_from(OBJECTS)) for _ in range(arity))
+def ground_literals(draw, shapes=SHAPES, objects=OBJECTS):
+    predicate, arity = draw(st.sampled_from(shapes))
+    args = tuple(draw(st.sampled_from(objects)) for _ in range(arity))
     positive = draw(st.sampled_from((True, True, True, False)))
     return Literal(positive, predicate, args)
 
 
 @st.composite
-def fact_bases(draw):
+def fact_bases(draw, shapes=SHAPES, objects=OBJECTS, min_size=0,
+               max_size=8):
     kb = FactBase()
-    for literal in draw(st.lists(ground_literals(), max_size=8)):
+    for literal in draw(st.lists(ground_literals(shapes, objects),
+                                 min_size=min_size, max_size=max_size)):
         kb = kb.with_literal(literal)
     return kb
 
@@ -308,12 +313,67 @@ def positive_atoms(kb):
     return {(l.predicate, l.args) for l in kb.literals if l.positive}
 
 
+# Wider decks: constants in body patterns, repeated variables, one
+# predicate at two arities, and fact constants shaped like variables.
+WIDE_OBJECTS = ("obj_a", "obj_b", "obj_c", "Object_001")
+WIDE_SHAPES = SHAPES + (("divided", 2),)
+PATTERN_VARS = ("X", "Y", "Z")
+PATTERN_CONSTS = ("obj_a", "obj_b")
+
+
+@st.composite
+def wide_patterns(draw, variables):
+    predicate, arity = draw(st.sampled_from(WIDE_SHAPES))
+    if arity == 2 and variables and draw(st.integers(0, 3)) == 0:
+        var = draw(st.sampled_from(variables))
+        return Literal(True, predicate, (var, var))
+    terms = variables + variables + PATTERN_CONSTS  # joins need variables
+    return Literal(True, predicate,
+                   tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+
+
+@st.composite
+def wide_rule_decks(draw):
+    deck = []
+    for number in range(draw(st.integers(1, 4))):
+        body = tuple(draw(st.lists(wide_patterns(PATTERN_VARS),
+                                   min_size=1, max_size=3)))
+        bound = tuple(sorted({a for l in body for a in l.args
+                              if a in PATTERN_VARS}))
+        head = draw(wide_patterns(bound))
+        deck.append(AxiomRule(f"r{number}", body, head))
+    return deck
+
+
+wide_fact_bases = fact_bases(WIDE_SHAPES, WIDE_OBJECTS, min_size=3,
+                             max_size=14)
+
+
 class TestChainingProperties:
     @COMMON
     @given(fact_bases(), rule_decks())
     def test_fixpoint_matches_naive_rescan(self, kb, rules):
         closed = forward_chain(kb, rules)
         assert positive_atoms(closed) == naive_chain_atoms(kb, rules)
+
+    @COMMON
+    @given(fact_bases(), rule_decks())
+    def test_discovery_order_matches_unindexed_oracle(self, kb, rules):
+        closed = forward_chain(kb, rules)
+        assert closed.literals == seminaive_chain_literals(kb, rules)
+
+    @COMMON
+    @given(wide_fact_bases, wide_rule_decks())
+    def test_wide_decks_fixpoint_matches_naive_rescan(self, kb, rules):
+        closed = forward_chain(kb, rules)
+        assert positive_atoms(closed) == naive_chain_atoms(kb, rules)
+
+    @COMMON
+    @given(wide_fact_bases, wide_rule_decks())
+    def test_wide_decks_discovery_order_matches_unindexed_oracle(self, kb,
+                                                                 rules):
+        closed = forward_chain(kb, rules)
+        assert closed.literals == seminaive_chain_literals(kb, rules)
 
     @COMMON
     @given(fact_bases(), rule_decks())

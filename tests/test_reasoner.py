@@ -183,6 +183,26 @@ class TestForwardChain:
         assert lit("divided(box)") in closed
         assert lit("divided(bag)") in closed
 
+    def test_deep_containment_reaches_its_closed_form(self):
+        # o0 inside o1 inside ... inside o40, and top resting on o0
+        depth = 40
+        kb = kb_of(*(f"contained(o{i},o{i + 1})" for i in range(depth)),
+                   "on_top(top,o0)")
+        closed = forward_chain(kb, axioms())
+        want = {("contained", (f"o{i}", f"o{j}"))
+                for i in range(depth + 1) for j in range(i + 1, depth + 1)}
+        want |= {("on_top", ("top", f"o{j}")) for j in range(depth + 1)}
+        assert len(closed.literals) == len(want)
+        assert {l.atom for l in closed.literals} == want
+
+    def test_join_pairs_facts_derived_in_one_round(self):
+        rules = [parse_axiom("axiom a: source(X) => left(X)"),
+                 parse_axiom("axiom b: source(X) => right(X)"),
+                 parse_axiom("axiom c: left(X) & right(X) => both(X)")]
+        closed = forward_chain(kb_of("source(box)"), rules)
+        assert [str(l) for l in closed.literals] == [
+            "source(box)", "left(box)", "right(box)", "both(box)"]
+
     def test_monotone_and_idempotent(self):
         kb = kb_of("contained(bucket,ball)", "on_top(box,bucket)",
                    "divided(bucket)")
