@@ -16,6 +16,7 @@ argument counts in the same file.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -122,6 +123,8 @@ def _parse_lexicon_line(line: str) -> LexEntry:
             weight = float(weight_text.strip())
         except ValueError:
             raise SourceSyntaxError(f"bad weight {weight_text.strip()!r}") from None
+        if not math.isfinite(weight):
+            raise SourceSyntaxError(f"non-finite weight {weight_text.strip()!r}")
     category = parse_category(category_text.strip())
     semantics = beta_reduce(parse_term(term_text.strip()))
     return LexEntry(token, category, semantics, weight)

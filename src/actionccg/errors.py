@@ -74,6 +74,10 @@ class ArityConflictError(ActionCCGError):
     """The same predicate name was used with two different arities."""
 
 
+class NonFiniteWeightError(ActionCCGError):
+    """A lexicon weight is infinite or NaN."""
+
+
 class DuplicateEntryWarning(UserWarning):
     """Two lexicon entries for one token share category and semantics."""
 

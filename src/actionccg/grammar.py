@@ -17,10 +17,13 @@ implication (or is conjoined when there is none).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .errors import DuplicateEntryWarning, SourceSyntaxError
+from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
+                     SourceSyntaxError)
 from .terms import (App, Const, Exists, Forall, Implies, Lam, Term, Var, And,
                     all_names, beta_reduce, canonical, free_vars, fresh_name,
                     substitute)
@@ -131,9 +134,12 @@ class LexEntry:
     weight: float = 0.0
     provenance: str = "seed"
 
-    @property
+    @cached_property
     def key(self) -> tuple[str, str, str]:
-        """Identity for feature counting: weight changes keep the key."""
+        """Identity for feature counting: weight changes keep the key.
+
+        Computed once per entry object; ``replace`` makes a new object.
+        """
         return (self.token, render_category(self.category),
                 canonical(self.semantics))
 
@@ -205,8 +211,16 @@ class Lexicon:
         return Lexicon(merged[e.key] for e in order)
 
     def with_weights(self, weights: dict[tuple[str, str, str], float]) -> "Lexicon":
-        return Lexicon(replace(e, weight=weights.get(e.key, e.weight))
-                       for e in self._entries)
+        """Reweight entries by key; an infinite or NaN weight is an error."""
+        entries = []
+        for e in self._entries:
+            weight = weights.get(e.key, e.weight)
+            if not math.isfinite(weight):
+                raise NonFiniteWeightError(
+                    f"non-finite weight {weight!r} for {e.token} := "
+                    f"{e.key[1]} : {e.key[2]}")
+            entries.append(replace(e, weight=weight))
+        return Lexicon(entries)
 
 
 def unary_project(category: Category, semantics: Term):

@@ -45,7 +45,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     l2: float = 0.0
     step_budget: int = 10_000
-    seed: int = 0
 
 
 def inject_templates(tokens, lexicon: Lexicon,

@@ -12,7 +12,7 @@ fixpoint under a derivation cap.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (BudgetExceededError, MalformedEventError,
                      RangeRestrictionError, SourceSyntaxError)
@@ -112,10 +112,19 @@ def parse_axiom(text: str) -> AxiomRule:
 
 @dataclass(frozen=True)
 class FactBase:
-    """Insertion-ordered set of ground literals plus a retraction log."""
+    """Insertion-ordered set of ground literals plus a retraction log.
+
+    ``closed`` is ``(rules, count)``: the first ``count`` literals are
+    closed under ``rules``, so every rule instantiation over their
+    positive facts has a head that is a positive or negative literal of
+    the fact base.  ``forward_chain`` sets it and ``with_literal`` keeps
+    it, lowering ``count`` when a retraction removes a literal inside
+    that prefix.  It takes no part in equality, hashing or ``repr``.
+    """
 
     literals: tuple[Literal, ...] = ()
     retracted: tuple[Literal, ...] = ()
+    closed: tuple = field(default=((), 0), compare=False, repr=False)
 
     def __contains__(self, literal: Literal) -> bool:
         return literal in self.literals
@@ -132,11 +141,14 @@ class FactBase:
         contrary = literal.negated()
         literals = self.literals
         retracted = self.retracted
+        rules, closed = self.closed
         if contrary in present:
-            literals = tuple(l for l in literals if l != contrary)
+            position = literals.index(contrary)
+            literals = literals[:position] + literals[position + 1:]
+            closed -= position < closed
             if contrary.positive:
                 retracted = retracted + (contrary,)
-        return FactBase(literals + (literal,), retracted)
+        return FactBase(literals + (literal,), retracted, (rules, closed))
 
 
 def _event_literals(form: Term) -> list[Literal]:
@@ -206,40 +218,70 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     """Close ``kb`` under ``rules``; derived facts keep discovery order.
 
     Semi-naive evaluation: each round only explores rule instantiations
-    that touch at least one fact discovered in the previous round; joins
-    probe an ``_index`` of all facts and one of that round's new facts.
+    that use at least one fact new to that round; joins probe an
+    ``_index`` of all facts and one of the new facts.  The first round
+    joins each rule once (``_join_first``); later rounds join once per
+    body position that can take one of the previous round's facts.
+
+    The first round's new facts are those after the prefix that
+    ``kb.closed`` marks as closed under these same ``rules``, or every
+    fact when the marker names other rules.  Chaining the result again
+    after a few ``with_literal`` calls thus starts from what they added.
+    The result is marked closed under ``rules`` in full and equals, tuple
+    for tuple, the result of chaining ``FactBase(kb.literals,
+    kb.retracted)``, which has no marker: the closed prefix alone
+    derives nothing new, and new facts sit at the end of every bucket.
+
     Raises BudgetExceededError once more than ``max_derived`` new facts
     appear, which catches runaway rule sets.
     """
-    rules = list(rules)
+    rules = tuple(rules)
     facts: list[Literal] = [l for l in kb.literals if l.positive]
     known = {l.atom for l in facts}
     negative = {l.atom for l in kb.literals if not l.positive}
-    # the first round's delta is every fact, so both joins share one index
-    everything = latest = _index(facts, {})
+    closed_rules, closed = kb.closed
+    old = sum(l.positive for l in kb.literals[:closed]) if closed_rules == rules else 0
+    everything = _index(facts, {})
+    # with nothing closed every fact is new, so both joins share one index
+    delta = _index(facts[old:], {}) if old else everything
     derived: list[Literal] = []
-    while latest:
+    first_round = True
+    while True:
         fresh: list[Literal] = []
         fresh_atoms: set = set()
         for rule in rules:
-            for pivot in range(len(rule.body)):
-                for binding in _join(rule.body, 0, pivot, {}, everything, latest):
-                    head = _instantiate(rule.head, binding)
-                    if head.atom in known or head.atom in fresh_atoms:
-                        continue
-                    # a retracted fact stays retracted: the event outranks it
-                    if head.atom in negative:
-                        continue
-                    fresh.append(head)
-                    fresh_atoms.add(head.atom)
-                    if len(derived) + len(fresh) > max_derived:
-                        raise BudgetExceededError(
-                            f"more than {max_derived} derived literals")
+            # only positions whose predicate has new facts can use one
+            pivots = [i for i, p in enumerate(rule.body)
+                      if (p.predicate, len(p.args)) in delta]
+            if not pivots:
+                continue
+            if first_round:
+                bindings = _join_first(rule.body, 0, {}, everything, delta,
+                                       pivots[-1])
+            else:
+                bindings = (b for pivot in pivots
+                            for b in _join(rule.body, 0, pivot, {}, everything, delta))
+            for binding in bindings:
+                head = _instantiate(rule.head, binding)
+                if head.atom in known or head.atom in fresh_atoms:
+                    continue
+                # a retracted fact stays retracted: the event outranks it
+                if head.atom in negative:
+                    continue
+                fresh.append(head)
+                fresh_atoms.add(head.atom)
+                if len(derived) + len(fresh) > max_derived:
+                    raise BudgetExceededError(
+                        f"more than {max_derived} derived literals")
+        if not fresh:
+            break
         _index(fresh, everything)
         known.update(fresh_atoms)
         derived.extend(fresh)
-        latest = _index(fresh, {})
-    return FactBase(kb.literals + tuple(derived), kb.retracted)
+        delta = _index(fresh, {})
+        first_round = False
+    literals = kb.literals + tuple(derived)
+    return FactBase(literals, kb.retracted, (rules, len(literals)))
 
 
 def _index(facts, index: dict) -> dict:
@@ -251,25 +293,53 @@ def _index(facts, index: dict) -> dict:
     return index
 
 
-def _join(body, index, pivot, binding, everything, delta):
-    """Bindings matching body literals left to right.
+def _key(pattern: Literal, binding: dict):
+    """The bucket of the first constant or bound argument, else of
+    predicate and arity."""
+    for position, arg in enumerate(pattern.args):
+        if arg in binding or not is_rule_variable(arg):
+            return (pattern.predicate, position, binding.get(arg, arg))
+    return (pattern.predicate, len(pattern.args))
 
-    The pivot literal takes candidates from the delta index, the others
-    from the all-facts index: the bucket of the first constant or bound
-    argument, else of predicate and arity.  A bucket lists the facts a
-    full scan would visit, in scan order, so keeping the written join
-    order (never reordering by selectivity) keeps discovery order.
+
+def _join_first(body, index, binding, everything, new, last):
+    """First-round bindings, left to right, that use a fact from ``new``.
+
+    Every position reads the all-facts index, except ``last``, the last
+    position whose predicate has new facts: while no earlier position
+    has matched a new fact it reads only new ones, since a binding that
+    has none by then never gets one.  ``last`` turns to -1 once one has
+    matched.  New facts end every bucket, so this is the full join's
+    order with the bindings over old facts alone left out.
     """
     if index == len(body):
         yield binding
         return
     pattern = body[index]
-    key = (pattern.predicate, len(pattern.args))
-    for position, arg in enumerate(pattern.args):
-        if arg in binding or not is_rule_variable(arg):
-            key = (pattern.predicate, position, binding.get(arg, arg))
-            break
-    for fact in (delta if index == pivot else everything).get(key, ()):
+    key = _key(pattern, binding)
+    bucket = everything.get(key, ())
+    split = len(bucket) - len(new.get(key, ()))
+    for position in range(split if index == last else 0, len(bucket)):
+        extended = _match(pattern, bucket[position], binding)
+        if extended is not None:
+            yield from _join_first(body, index + 1, extended, everything, new,
+                                   last if position < split else -1)
+
+
+def _join(body, index, pivot, binding, everything, delta):
+    """Bindings matching body literals left to right.
+
+    The pivot literal takes candidates from the delta index, the others
+    from the all-facts index, each from the bucket ``_key`` picks.  A
+    bucket lists the facts a full scan would visit, in scan order, so
+    keeping the written join order (never reordering by selectivity)
+    keeps discovery order.
+    """
+    if index == len(body):
+        yield binding
+        return
+    pattern = body[index]
+    for fact in (delta if index == pivot else everything).get(_key(pattern, binding), ()):
         extended = _match(pattern, fact, binding)
         if extended is not None:
             yield from _join(body, index + 1, pivot, extended, everything, delta)

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import shutil
+from pathlib import Path
 
 import pytest
 
 from actionccg import cli
 from actionccg.corpus import data_path, load_corpus, load_lexicon
+
+# stdout of the shipped-data commands, recorded with the benchmark
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 
 def run(capsys, *argv):
@@ -166,6 +170,20 @@ class TestReasonCommand:
         assert batch[0] == stepped[0] == 0
         assert set(batch[1].splitlines()) == set(stepped[1].splitlines())
 
+    @pytest.mark.parametrize("case", ["casestudy1", "casestudy2"])
+    @pytest.mark.parametrize("fmt", ["text", "tsv"])
+    def test_per_event_output_is_byte_identical(self, capsys,
+                                                learned_lexicon_path,
+                                                case, fmt):
+        code, out, err = run(capsys, "reason",
+                             "--lexicon", str(learned_lexicon_path),
+                             "--sequence", str(data_path(f"{case}.seq")),
+                             "--axioms", str(data_path("axioms.rules")),
+                             "--format", fmt, "--chain-per-event")
+        assert code == 0 and err == ""
+        expected = EXPECTED / f"reason-{case}-{fmt}-per-event.out"
+        assert out == expected.read_text(encoding="utf-8")
+
 
 class TestEvalCommand:
     def test_table(self, capsys, learned_lexicon_path, eval_dirs):
@@ -270,6 +288,30 @@ class TestErrorPaths:
                            "Knife Cut Cucumber")
         assert code == 1
         assert err.startswith("error:") and "line 1" in err
+
+    @pytest.mark.parametrize("weight", ["inf", "nan", "1e400"])
+    def test_non_finite_weight_is_one_diagnostic_line(self, capsys, tmp_path,
+                                                      weight):
+        bad = tmp_path / "weights.lex"
+        bad.write_text(data_path("basic.lex").read_text(encoding="utf-8")
+                       + f"Knife := N : knife @ {weight}\n", encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--lexicon", str(bad),
+                             "Knife Cut Cucumber")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite weight" in err
+
+    def test_non_finite_trained_weight_is_one_diagnostic_line(self, capsys,
+                                                              tmp_path):
+        out_path = tmp_path / "learned.lex"
+        code, out, err = run(capsys, "learn",
+                             "--corpus", str(data_path("table1.corpus")),
+                             "--seed", str(data_path("seed.lex")),
+                             "--out", str(out_path), "--lr", "inf",
+                             "--iters", "2")
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error: non-finite weight")
+        assert err.count("\n") == 1
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

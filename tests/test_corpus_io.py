@@ -74,6 +74,13 @@ class TestLoadLexicon:
         with pytest.raises(SourceSyntaxError):
             load_lexicon(write(tmp_path / "wt.lex", "Knife := N : knife @ heavy\n"))
 
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        text = f"Bowl := N : bowl\nKnife := N : knife @ {weight}\n"
+        with pytest.raises(SourceSyntaxError) as err:
+            load_lexicon(write(tmp_path / "wt.lex", text))
+        assert "line 2" in str(err.value) and "non-finite" in str(err.value)
+
     def test_arity_conflict_rejected(self, tmp_path):
         text = ("A := AP : moved(box_one)\n"
                 "B := AP : moved(box_one,box_two)\n")

@@ -3,7 +3,8 @@
 import pytest
 
 from actionccg import parse_term
-from actionccg.errors import DuplicateEntryWarning, SourceSyntaxError
+from actionccg.errors import (DuplicateEntryWarning, NonFiniteWeightError,
+                              SourceSyntaxError)
 from actionccg.grammar import (AP, GOAL_CATEGORY, N, NP, Atom, Backward,
                                Forward, LexEntry, Lexicon, apply_argument,
                                combine, parse_category, render_category,
@@ -172,6 +173,18 @@ class TestLexicon:
         lex = Lexicon([entry]).with_weights({entry.key: 2.25})
         assert lex.entries[0].weight == 2.25
         assert lex.weight_of(entry.key) == 2.25
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"),
+                                        float("nan")])
+    def test_with_weights_rejects_non_finite(self, weight):
+        entry = self.entry("Knife", "N", "knife")
+        with pytest.raises(NonFiniteWeightError, match="Knife"):
+            Lexicon([entry]).with_weights({entry.key: weight})
+
+    def test_key_is_computed_once_per_entry(self):
+        entry = self.entry("Knife", "N", "knife")
+        assert entry.key is entry.key
+        assert entry.key == ("Knife", "N", "knife")
 
     def test_entries_are_immutable_snapshots(self):
         entry = self.entry("Knife", "N", "knife")

@@ -345,8 +345,21 @@ def wide_rule_decks(draw):
     return deck
 
 
+any_decks = st.one_of(rule_decks(), wide_rule_decks())
 wide_fact_bases = fact_bases(WIDE_SHAPES, WIDE_OBJECTS, min_size=3,
                              max_size=14)
+
+
+@st.composite
+def event_runs(draw):
+    """Events over two objects, so that facts of different events join
+    and duplicates, retractions and re-assertions of retracted facts are
+    common; the second value is the event index at which the rule deck
+    switches."""
+    literals = ground_literals(WIDE_SHAPES, ("obj_a", "Object_001"))
+    events = draw(st.lists(st.lists(literals, min_size=1, max_size=4),
+                           min_size=3, max_size=12))
+    return events, draw(st.integers(0, len(events)))
 
 
 class TestChainingProperties:
@@ -397,3 +410,18 @@ class TestChainingProperties:
         assert closed.literals[:len(kb.literals)] == kb.literals
         for literal in closed.literals[len(kb.literals):]:
             assert literal.positive
+
+    @COMMON
+    @given(event_runs(), any_decks, any_decks)
+    def test_chaining_per_event_matches_chaining_from_scratch(self, run,
+                                                              first, second):
+        events, switch = run
+        kb = FactBase()
+        for step, event in enumerate(events):
+            rules = first if step < switch else second
+            for literal in event:
+                kb = kb.with_literal(literal)
+            scratch = forward_chain(FactBase(kb.literals, kb.retracted), rules)
+            kb = forward_chain(kb, rules)
+            assert kb.literals == scratch.literals
+            assert kb.retracted == scratch.retracted

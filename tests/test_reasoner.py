@@ -259,6 +259,52 @@ class TestForwardChain:
                                              "divided(ball)"]
 
 
+class TestClosedMarker:
+    """``forward_chain`` marks its result closed; later calls resume."""
+
+    def test_marker_leaves_equality_hash_and_repr_alone(self):
+        closed = forward_chain(kb_of("contained(bucket,ball)",
+                                     "on_top(box,bucket)"), axioms())
+        plain = FactBase(closed.literals, closed.retracted)
+        assert closed.closed != plain.closed
+        assert closed == plain
+        assert hash(closed) == hash(plain)
+        assert repr(closed) == repr(plain)
+        assert len({closed, plain}) == 1
+
+    def test_result_is_closed_in_full(self):
+        rules = axioms()
+        closed = forward_chain(kb_of("contained(bucket,ball)"), rules)
+        assert closed.closed == (tuple(rules), len(closed.literals))
+        assert FactBase().closed == ((), 0)
+
+    def test_new_fact_joins_facts_already_closed(self):
+        closed = forward_chain(kb_of("on_top(box,bucket)"), axioms())
+        grown = forward_chain(closed.with_literal(lit("contained(bucket,ball)")),
+                              axioms())
+        assert lit("on_top(box,ball)") in grown
+
+    def test_old_fact_joins_new_fact_at_a_later_position(self):
+        closed = forward_chain(kb_of("contained(bucket,ball)"), axioms())
+        grown = closed.with_literal(lit("contained(lid,jar)"))
+        grown = forward_chain(grown.with_literal(lit("on_top(box,bucket)")),
+                              axioms())
+        assert lit("on_top(box,ball)") in grown
+
+    def test_retraction_inside_the_prefix_lowers_the_count(self):
+        closed = forward_chain(kb_of("contained(bucket,ball)",
+                                     "!on_top(box,bucket)"), axioms())
+        assert closed.closed[1] == 2
+        restored = closed.with_literal(lit("on_top(box,bucket)"))
+        assert restored.closed[1] == 1
+        assert lit("on_top(box,ball)") in forward_chain(restored, axioms())
+
+    def test_marker_for_other_rules_is_ignored(self):
+        unclosed = forward_chain(kb_of("contained(bucket,ball)",
+                                       "on_top(box,bucket)"), [])
+        assert lit("on_top(box,ball)") in forward_chain(unclosed, axioms())
+
+
 class TestReport:
     def test_observed_deduced_split(self):
         kb = kb_of("contained(bucket,ball)", "on_top(box,bucket)")
