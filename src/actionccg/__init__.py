@@ -12,8 +12,9 @@ from .chart import Derivation, ParseResult, argmax_parse, parse_all, parse_proba
 from .errors import (ActionCCGError, ArityConflictError, BudgetExceededError,
                      ConstantFunctionWarning, DegenerateCorpusError,
                      DuplicateEntryWarning, InductionFailureError,
-                     MalformedEventError, NoParseError, NonFiniteWeightError,
-                     NonTerminationError, RangeRestrictionError,
+                     InvalidConfigError, MalformedEventError, NoParseError,
+                     NonFiniteWeightError, NonTerminationError,
+                     RangeRestrictionError,
                      SkippedSampleWarning,
                      SourceSyntaxError, UnknownTokenError)
 from .grammar import (Atom, Backward, Category, Forward, LexEntry, Lexicon,

@@ -89,11 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_learn(args) -> int:
+    config = TrainConfig(iterations=args.iters, learning_rate=args.lr, l2=args.l2)
     samples = corpus_io.load_corpus(args.corpus)
     lexicon = corpus_io.load_lexicon(args.seed)
     before = len(lexicon)
     lexicon = induce_corpus_entries(samples, lexicon)
-    config = TrainConfig(iterations=args.iters, learning_rate=args.lr, l2=args.l2)
     lexicon = train(samples, lexicon, config)
     corpus_io.save_lexicon(lexicon, args.out)
     with warnings.catch_warnings():

@@ -78,6 +78,10 @@ class NonFiniteWeightError(ActionCCGError):
     """A lexicon weight is infinite or NaN."""
 
 
+class InvalidConfigError(ActionCCGError):
+    """A setting is outside the range it allows."""
+
+
 class DuplicateEntryWarning(UserWarning):
     """Two lexicon entries for one token share category and semantics."""
 

@@ -16,7 +16,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import (DegenerateCorpusError, InductionFailureError,
-                     NoParseError, SkippedSampleWarning, UnknownTokenError)
+                     InvalidConfigError, NoParseError, NonFiniteWeightError,
+                     SkippedSampleWarning, UnknownTokenError)
 from .chart import parse_all
 from .grammar import (AP, Backward, Forward, N, NP, LexEntry, Lexicon,
                       apply_argument)
@@ -41,10 +42,25 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of ``train``; building one out of range raises
+    InvalidConfigError."""
+
     iterations: int = 100
     learning_rate: float = 0.1
     l2: float = 0.0
     step_budget: int = 10_000
+
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise InvalidConfigError(
+                f"iterations must be at least 0, got {self.iterations}")
+        if self.step_budget < 1:
+            raise InvalidConfigError(
+                f"step_budget must be at least 1, got {self.step_budget}")
+        for name in ("learning_rate", "l2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 def inject_templates(tokens, lexicon: Lexicon,
@@ -166,23 +182,30 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
     The gradient of each entry weight is the expected usage count under
     derivations matching the annotation minus the expectation under all
     derivations, less the l2 pull toward zero.  Returns the lexicon with
-    updated weights; everything else is untouched.
+    updated weights; everything else is untouched.  Raises
+    NonFiniteWeightError, naming the iteration, as soon as a weight turns
+    infinite or NaN.
     """
     prepared = _prepare(corpus, lexicon, config.step_budget)
     if not prepared:
         raise DegenerateCorpusError("no training sample could be parsed "
                                     "to its annotation")
     theta = {e.key: e.weight for e in lexicon}
-    for _ in range(config.iterations):
+    for iteration in range(1, config.iterations + 1):
         grad = defaultdict(float)
         for rows in prepared:
             scores = [sum(theta.get(k, 0.0) * c for k, c in counts.items())
                       for counts, _ in rows]
             _accumulate(grad, rows, scores, gold_only=True, sign=1.0)
             _accumulate(grad, rows, scores, gold_only=False, sign=-1.0)
-        for key in theta:
-            theta[key] += config.learning_rate * (grad[key]
-                                                  - config.l2 * theta[key])
+        for key, weight in theta.items():
+            weight += config.learning_rate * (grad[key] - config.l2 * weight)
+            if not math.isfinite(weight):
+                token, category, semantics = key
+                raise NonFiniteWeightError(
+                    f"non-finite weight {weight!r} for {token} := {category} "
+                    f": {semantics} at training iteration {iteration}")
+            theta[key] = weight
     return lexicon.with_weights(theta)
 
 

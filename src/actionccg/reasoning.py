@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import (BudgetExceededError, MalformedEventError,
                      RangeRestrictionError, SourceSyntaxError)
@@ -77,13 +80,99 @@ def parse_literal(text: str, *, allow_negation: bool = True,
     return Literal(not sign, name, args)
 
 
+class _Step(NamedTuple):
+    """One body literal of a join plan, fixed when the rule is built."""
+
+    predicate: str
+    arity: int
+    position: int | None  # argument whose bucket is probed; None: (predicate, arity)
+    slot: int  # the binding slot that holds the probed argument's value
+    check: Callable | None  # other arguments whose value is known, or None
+    expect: Callable  # binding -> those values
+    repeat: Callable | None  # later occurrences of variables repeated here, or None
+    first: Callable  # the first occurrences of those variables
+    bind: Callable  # arguments that bind new variables, as a tuple
+
+
+class _Plan(NamedTuple):
+    """A rule compiled for ``forward_chain``: a binding is a tuple whose
+    first slots hold the rule's constants and whose later slots hold its
+    variables in order of first occurrence."""
+
+    seed: tuple[str, ...]
+    steps: tuple[_Step, ...]
+    shapes: tuple[tuple[str, int], ...]  # (predicate, arity) of each step
+    head: Callable  # binding -> head arguments
+
+
 @dataclass(frozen=True)
 class AxiomRule:
-    """Horn rule: positive body literals implying one positive head."""
+    """Horn rule: positive body literals implying one positive head.
+
+    Building one compiles its join plan, and raises RangeRestrictionError
+    if a head variable occurs in no body literal.
+    """
 
     name: str
     body: tuple[Literal, ...]
     head: Literal
+    plan: _Plan = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", _compile(self))
+
+
+def _compile(rule: AxiomRule) -> _Plan:
+    """Fix, for each body literal in written order, the bucket it probes
+    (its first constant or earlier-bound argument, else its predicate and
+    arity), the arguments left to check and those that bind variables."""
+    slots: dict[str, int] = {}
+    for literal in rule.body + (rule.head,):
+        for arg in literal.args:
+            if not is_rule_variable(arg):
+                slots.setdefault(arg, len(slots))
+    seed = tuple(slots)
+    steps = []
+    for literal in rule.body:
+        key = None
+        checks, repeats, binds = [], [], []
+        here: dict[str, int] = {}
+        for position, arg in enumerate(literal.args):
+            if arg in here:
+                repeats.append((position, here[arg]))
+            elif arg not in slots:
+                here[arg] = position
+                slots[arg] = len(slots)
+                binds.append(position)
+            elif key is None:
+                key = (position, slots[arg])
+            else:
+                checks.append((position, slots[arg]))
+        position, slot = key or (None, 0)
+        steps.append(_Step(
+            literal.predicate, len(literal.args), position, slot,
+            _take(p for p, _ in checks) if checks else None,
+            _take(s for _, s in checks),
+            _take(p for p, _ in repeats) if repeats else None,
+            _take(p for _, p in repeats),
+            _take(binds)))
+    loose = [a for a in rule.head.args if a not in slots]
+    if loose:
+        raise RangeRestrictionError(
+            f"axiom {rule.name!r}: head variables {', '.join(loose)} never "
+            f"occur in the body")
+    return _Plan(seed, tuple(steps),
+                 tuple((l.predicate, len(l.args)) for l in rule.body),
+                 _take(slots[a] for a in rule.head.args))
+
+
+def _take(indexes) -> Callable:
+    """A C-level getter for ``tuple(seq[i] for i in indexes)``."""
+    indexes = tuple(indexes)
+    start = indexes[0] if indexes else 0
+    if indexes == tuple(range(start, start + len(indexes))):
+        return itemgetter(slice(start, start + len(indexes)))
+    return itemgetter(*indexes)
 
 
 def parse_axiom(text: str) -> AxiomRule:
@@ -101,12 +190,6 @@ def parse_axiom(text: str) -> AxiomRule:
     body = tuple(parse_literal(part, allow_negation=False, allow_variables=True)
                  for part in body_text.split("&"))
     head = parse_literal(head_text, allow_negation=False, allow_variables=True)
-    bound = {a for lit in body for a in lit.args if is_rule_variable(a)}
-    loose = [a for a in head.args if is_rule_variable(a) and a not in bound]
-    if loose:
-        raise RangeRestrictionError(
-            f"axiom {name!r}: head variables {', '.join(loose)} never "
-            f"occur in the body")
     return AxiomRule(name, body, head)
 
 
@@ -196,32 +279,27 @@ def assert_event(form: Term, kb: FactBase) -> FactBase:
     return kb
 
 
-def _match(pattern: Literal, fact: Literal, binding: dict):
-    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
-        return None
-    out = dict(binding)
-    for p, f in zip(pattern.args, fact.args):
-        if is_rule_variable(p):
-            if out.setdefault(p, f) != f:
-                return None
-        elif p != f:
-            return None
-    return out
-
-
-def _instantiate(literal: Literal, binding: dict) -> Literal:
-    return Literal(literal.positive, literal.predicate,
-                   tuple(binding.get(a, a) for a in literal.args))
-
-
 def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBase:
     """Close ``kb`` under ``rules``; derived facts keep discovery order.
 
     Semi-naive evaluation: each round only explores rule instantiations
     that use at least one fact new to that round; joins probe an
     ``_index`` of all facts and one of the new facts.  The first round
-    joins each rule once (``_join_first``); later rounds join once per
-    body position that can take one of the previous round's facts.
+    joins each rule once: in full, or through ``_join_first`` when part
+    of ``kb`` is marked closed.  Later rounds join once per body position
+    that can take one of the previous round's facts.
+
+    Each rule carries a join plan compiled when it was built
+    (``AxiomRule.plan``).  Body literals are joined in written order, so
+    the plan fixes for each one the bucket it probes (its first constant
+    or earlier-bound argument, else its predicate and arity), the arity
+    test, the arguments left to check (a variable repeated within the
+    literal among them) and the arguments that bind new variables.  A
+    binding is a tuple of values, the rule's constants first, then its
+    variables in order of first occurrence; the head is a getter over
+    it, and a head becomes a ``Literal`` only once it is known to be new.
+    Each body position is one flat loop in a chain of generators, so a
+    runaway rule hits the budget before its cross product exists.
 
     The first round's new facts are those after the prefix that
     ``kb.closed`` marks as closed under these same ``rules``, or every
@@ -237,8 +315,9 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     """
     rules = tuple(rules)
     facts: list[Literal] = [l for l in kb.literals if l.positive]
-    known = {l.atom for l in facts}
-    negative = {l.atom for l in kb.literals if not l.positive}
+    # a head is new unless it is a known fact or a retracted (negative) one:
+    # the event outranks the rules
+    seen = {l.atom for l in kb.literals}
     closed_rules, closed = kb.closed
     old = sum(l.positive for l in kb.literals[:closed]) if closed_rules == rules else 0
     everything = _index(facts, {})
@@ -248,35 +327,34 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     first_round = True
     while True:
         fresh: list[Literal] = []
-        fresh_atoms: set = set()
         for rule in rules:
+            plan = rule.plan
             # only positions whose predicate has new facts can use one
-            pivots = [i for i, p in enumerate(rule.body)
-                      if (p.predicate, len(p.args)) in delta]
+            pivots = [i for i, shape in enumerate(plan.shapes) if shape in delta]
             if not pivots:
                 continue
-            if first_round:
-                bindings = _join_first(rule.body, 0, {}, everything, delta,
-                                       pivots[-1])
+            if not first_round:
+                joins = (_join(plan.steps, [plan.seed], everything, delta, p)
+                         for p in pivots)
+            elif old:
+                joins = (_join_first(plan, everything, delta, pivots[-1]),)
             else:
-                bindings = (b for pivot in pivots
-                            for b in _join(rule.body, 0, pivot, {}, everything, delta))
-            for binding in bindings:
-                head = _instantiate(rule.head, binding)
-                if head.atom in known or head.atom in fresh_atoms:
-                    continue
-                # a retracted fact stays retracted: the event outranks it
-                if head.atom in negative:
-                    continue
-                fresh.append(head)
-                fresh_atoms.add(head.atom)
-                if len(derived) + len(fresh) > max_derived:
-                    raise BudgetExceededError(
-                        f"more than {max_derived} derived literals")
+                joins = (_join(plan.steps, [plan.seed], everything),)
+            head, predicate, positive = plan.head, rule.head.predicate, rule.head.positive
+            for bindings in joins:
+                for binding in bindings:
+                    args = head(binding)
+                    atom = (predicate, args)
+                    if atom in seen:
+                        continue
+                    seen.add(atom)
+                    fresh.append(Literal(positive, predicate, args))
+                    if len(derived) + len(fresh) > max_derived:
+                        raise BudgetExceededError(
+                            f"more than {max_derived} derived literals")
         if not fresh:
             break
         _index(fresh, everything)
-        known.update(fresh_atoms)
         derived.extend(fresh)
         delta = _index(fresh, {})
         first_round = False
@@ -293,56 +371,72 @@ def _index(facts, index: dict) -> dict:
     return index
 
 
-def _key(pattern: Literal, binding: dict):
-    """The bucket of the first constant or bound argument, else of
-    predicate and arity."""
-    for position, arg in enumerate(pattern.args):
-        if arg in binding or not is_rule_variable(arg):
-            return (pattern.predicate, position, binding.get(arg, arg))
-    return (pattern.predicate, len(pattern.args))
+def _join(steps, bindings, everything, delta=None, pivot=-1):
+    """Extend ``bindings`` by the body literals of ``steps``, left to right.
+
+    The ``pivot`` position takes candidates from the delta index, the
+    others from the all-facts index.  A bucket lists the facts a full
+    scan would visit, in scan order, so keeping the written join order
+    (never reordering by selectivity) keeps discovery order.  Each
+    position is one generator reading the one before it, so nothing is
+    built ahead of the budget check.
+    """
+    for position, step in enumerate(steps):
+        bindings = _matches(step, bindings,
+                            delta if position == pivot else everything)
+    return bindings
 
 
-def _join_first(body, index, binding, everything, new, last):
+def _matches(step: _Step, bindings, index):
+    """Extend each binding, in order, by every fact of its bucket in
+    ``index`` that fits ``step``."""
+    predicate, arity, position, slot, check, expect, repeat, first, bind = step
+    shape = (predicate, arity)
+    for binding in bindings:
+        key = shape if position is None else (predicate, position, binding[slot])
+        want = expect(binding)
+        for fact in index.get(key, ()):
+            args = fact.args
+            if (len(args) == arity and (check is None or check(args) == want)
+                    and (repeat is None or repeat(args) == first(args))):
+                yield binding + bind(args)
+
+
+def _join_first(plan: _Plan, everything, new, last):
     """First-round bindings, left to right, that use a fact from ``new``.
 
     Every position reads the all-facts index, except ``last``, the last
-    position whose predicate has new facts: while no earlier position
-    has matched a new fact it reads only new ones, since a binding that
-    has none by then never gets one.  ``last`` turns to -1 once one has
-    matched.  New facts end every bucket, so this is the full join's
+    position whose predicate has new facts: a binding that has matched
+    no new fact before it reads only new ones there, since it never gets
+    one later.  New facts end every bucket, so this is the full join's
     order with the bindings over old facts alone left out.
     """
-    if index == len(body):
-        yield binding
-        return
-    pattern = body[index]
-    key = _key(pattern, binding)
-    bucket = everything.get(key, ())
-    split = len(bucket) - len(new.get(key, ()))
-    for position in range(split if index == last else 0, len(bucket)):
-        extended = _match(pattern, bucket[position], binding)
-        if extended is not None:
-            yield from _join_first(body, index + 1, extended, everything, new,
-                                   last if position < split else -1)
+    pairs = [(plan.seed, False)]  # (binding, whether it matched a new fact)
+    for step in plan.steps[:last]:
+        pairs = _marked_matches(step, pairs, everything, new)
+    step = plan.steps[last]
+    bindings = chain.from_iterable(
+        _matches(step, (binding,), everything if used else new)
+        for binding, used in pairs)
+    return _join(plan.steps[last + 1:], bindings, everything)
 
 
-def _join(body, index, pivot, binding, everything, delta):
-    """Bindings matching body literals left to right.
-
-    The pivot literal takes candidates from the delta index, the others
-    from the all-facts index, each from the bucket ``_key`` picks.  A
-    bucket lists the facts a full scan would visit, in scan order, so
-    keeping the written join order (never reordering by selectivity)
-    keeps discovery order.
-    """
-    if index == len(body):
-        yield binding
-        return
-    pattern = body[index]
-    for fact in (delta if index == pivot else everything).get(_key(pattern, binding), ()):
-        extended = _match(pattern, fact, binding)
-        if extended is not None:
-            yield from _join(body, index + 1, pivot, extended, everything, delta)
+def _marked_matches(step: _Step, pairs, everything, new):
+    """``_matches`` over the all-facts index for (binding, used) pairs,
+    marking as used each extension by a fact from the tail of a bucket
+    that ``new`` holds."""
+    predicate, arity, position, slot, check, expect, repeat, first, bind = step
+    shape = (predicate, arity)
+    for binding, used in pairs:
+        key = shape if position is None else (predicate, position, binding[slot])
+        want = expect(binding)
+        bucket = everything.get(key, ())
+        split = len(bucket) - len(new.get(key, ()))
+        for number, fact in enumerate(bucket):
+            args = fact.args
+            if (len(args) == arity and (check is None or check(args) == want)
+                    and (repeat is None or repeat(args) == first(args))):
+                yield binding + bind(args), used or number >= split
 
 
 @dataclass(frozen=True)

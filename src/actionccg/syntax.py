@@ -31,6 +31,10 @@ from .terms import (And, App, Const, Exists, Forall, Implies, Lam, Not, Or,
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VAR_SHAPE_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _KEYWORDS = ("forall", "exists")
+# Deepest nesting a term may have.  The parser spends up to six stack
+# frames per level and the recursive term walkers up to two, so a term
+# this deep stays well inside Python's default recursion limit of 1,000.
+MAX_DEPTH = 100
 
 
 def is_variable_name(name: str) -> bool:
@@ -88,87 +92,114 @@ class _Tokens:
 
 
 def parse_term(text: str) -> Term:
-    """Parse one logical form; raises SourceSyntaxError with an offset."""
+    """Parse one logical form; raises SourceSyntaxError with an offset.
+
+    A term may nest at most ``MAX_DEPTH`` levels, each node and each pair
+    of parentheses on its deepest path counting one.
+    """
     toks = _Tokens(text)
-    term = _term(toks, frozenset())
+    term, height = _term(toks, frozenset(), 1)
     kind, value, pos = toks.peek()
     if kind != "EOF":
         raise SourceSyntaxError(f"trailing input {value!r}", offset=pos)
+    _check_depth(height, 0)
     return term
 
 
-def _term(toks: _Tokens, bound: frozenset[str]) -> Term:
-    kind, _, _ = toks.peek()
+def _check_depth(depth: int, offset: int) -> None:
+    if depth > MAX_DEPTH:
+        raise SourceSyntaxError(
+            f"term nested deeper than {MAX_DEPTH} levels", offset=offset)
+
+
+# Each parser below takes the nesting depth it starts at and returns the
+# term with its height, so that recursion stops at MAX_DEPTH and a long
+# chain of operators, parsed by a loop, is caught by its height.
+
+def _term(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+    kind, _, pos = toks.peek()
+    _check_depth(depth, pos)
     if kind == "LAMBDA":
         toks.next()
         _, name, _ = toks.expect("IDENT")
         toks.expect("DOT")
-        return Lam(name, _term(toks, bound | {name}))
+        body, height = _term(toks, bound | {name}, depth + 1)
+        return Lam(name, body), height + 1
     if kind in ("FORALL", "EXISTS"):
         toks.next()
         _, name, _ = toks.expect("IDENT")
         toks.expect("DOT")
-        body = _term(toks, bound | {name})
-        return Forall(name, body) if kind == "FORALL" else Exists(name, body)
-    left = _or(toks, bound)
+        body, height = _term(toks, bound | {name}, depth + 1)
+        return (Forall(name, body) if kind == "FORALL"
+                else Exists(name, body)), height + 1
+    left, height = _or(toks, bound, depth)
     if toks.peek()[0] == "ARROW":
         toks.next()
-        return Implies(left, _term(toks, bound))
-    return left
+        right, right_height = _term(toks, bound, depth + 1)
+        return Implies(left, right), max(height, right_height) + 1
+    return left, height
 
 
-def _or(toks: _Tokens, bound: frozenset[str]) -> Term:
-    term = _and(toks, bound)
+def _or(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+    term, height = _and(toks, bound, depth)
     while toks.peek()[0] == "OR":
         toks.next()
-        term = Or(term, _and(toks, bound))
-    return term
+        right, right_height = _and(toks, bound, depth + 1)
+        term, height = Or(term, right), max(height, right_height) + 1
+    return term, height
 
 
-def _and(toks: _Tokens, bound: frozenset[str]) -> Term:
-    term = _not(toks, bound)
+def _and(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+    term, height = _not(toks, bound, depth)
     while toks.peek()[0] == "AND":
         toks.next()
-        term = And(term, _not(toks, bound))
-    return term
+        right, right_height = _not(toks, bound, depth + 1)
+        term, height = And(term, right), max(height, right_height) + 1
+    return term, height
 
 
-def _not(toks: _Tokens, bound: frozenset[str]) -> Term:
-    if toks.peek()[0] == "NOT":
+def _not(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+    kind, _, pos = toks.peek()
+    _check_depth(depth, pos)
+    if kind == "NOT":
         toks.next()
-        return Not(_not(toks, bound))
-    return _app(toks, bound)
+        body, height = _not(toks, bound, depth + 1)
+        return Not(body), height + 1
+    return _app(toks, bound, depth)
 
 
-def _app(toks: _Tokens, bound: frozenset[str]) -> Term:
-    term = _atom(toks, bound)
+def _app(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+    term, height = _atom(toks, bound, depth)
     while toks.peek()[0] in ("IDENT", "LPAR"):
-        term = App(term, _atom(toks, bound))
-    return term
+        arg, arg_height = _atom(toks, bound, depth + 1)
+        term, height = App(term, arg), max(height, arg_height) + 1
+    return term, height
 
 
-def _atom(toks: _Tokens, bound: frozenset[str]) -> Term:
+def _atom(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     kind, value, pos = toks.next()
     if kind == "LPAR":
-        term = _term(toks, bound)
+        term, height = _term(toks, bound, depth + 1)
         toks.expect("RPAR")
-        return term
+        return term, height + 1
     if kind != "IDENT":
         raise SourceSyntaxError(
             f"expected a term, found {value or 'end of input'!r}", offset=pos)
     if toks.peek()[0] == "LPAR":
         toks.next()
-        args = [_term(toks, bound)]
+        parsed = [_term(toks, bound, depth + 1)]
         while toks.peek()[0] == "COMMA":
             toks.next()
-            args.append(_term(toks, bound))
+            parsed.append(_term(toks, bound, depth + 1))
         toks.expect("RPAR")
+        args = [arg for arg, _ in parsed]
+        height = max(arg_height for _, arg_height in parsed)
         if value in bound:
             spine: Term = Var(value)
             for a in args:
                 spine = App(spine, a)
-            return spine
-        return Pred(value, tuple(args))
+            return spine, height + len(args)
+        return Pred(value, tuple(args)), height + 1
     if value in bound or is_variable_name(value):
-        return Var(value)
-    return Const(value)
+        return Var(value), 1
+    return Const(value), 1

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def weighted_seed(tmp_path):
+    """The shipped seed lexicon with ``Knife`` at weight 1.0."""
+    path = tmp_path / "weighted.lex"
+    text = data_path("seed.lex").read_text(encoding="utf-8")
+    path.write_text(text.replace("Knife := N : knife\n",
+                                 "Knife := N : knife @ 1.0\n"),
+                    encoding="utf-8")
+    return path
+
+
 @pytest.fixture(scope="module")
 def learned_lexicon_path(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-learn") / "learned.lex"
@@ -303,15 +313,53 @@ class TestErrorPaths:
 
     def test_non_finite_trained_weight_is_one_diagnostic_line(self, capsys,
                                                               tmp_path):
+        # a finite rate that overflows a weighted entry at iteration 2
+        out_path = tmp_path / "learned.lex"
+        code, out, err = run(capsys, "learn",
+                             "--corpus", str(data_path("table1.corpus")),
+                             "--seed", str(weighted_seed(tmp_path)),
+                             "--out", str(out_path), "--lr", "1e300",
+                             "--l2", "1", "--iters", "2")
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error: non-finite weight")
+        assert err.count("\n") == 1
+
+    def test_divergent_learning_stops_at_the_first_bad_iteration(self, capsys,
+                                                                 tmp_path):
+        out_path = tmp_path / "learned.lex"
+        code, out, err = run(capsys, "learn",
+                             "--corpus", str(data_path("table1.corpus")),
+                             "--seed", str(weighted_seed(tmp_path)),
+                             "--out", str(out_path), "--lr", "1e6",
+                             "--l2", "1", "--iters", "1000000")
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == ("error: non-finite weight inf for Knife := N : knife "
+                       "at training iteration 52\n")
+
+    @pytest.mark.parametrize("option", [
+        ("--iters", "-3"), ("--lr", "inf"), ("--lr", "nan"), ("--l2", "inf"),
+        ("--l2", "nan")])
+    def test_out_of_range_learn_option_is_one_diagnostic_line(self, capsys,
+                                                              tmp_path, option):
         out_path = tmp_path / "learned.lex"
         code, out, err = run(capsys, "learn",
                              "--corpus", str(data_path("table1.corpus")),
                              "--seed", str(data_path("seed.lex")),
-                             "--out", str(out_path), "--lr", "inf",
-                             "--iters", "2")
+                             "--out", str(out_path), *option)
         assert code == 1 and out == "" and not out_path.exists()
-        assert err.startswith("error: non-finite weight")
-        assert err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "must be" in err
+
+    def test_deeply_nested_term_is_one_diagnostic_line(self, capsys, tmp_path):
+        deep = tmp_path / "deep.lex"
+        deep.write_text(data_path("basic.lex").read_text(encoding="utf-8")
+                        + "Knife := N : " + "!" * 3000 + "knife\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--lexicon", str(deep),
+                             "Knife Cut Cucumber")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nested deeper than" in err
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ import pytest
 from actionccg import parse_term
 from actionccg.chart import argmax_parse, parse_all, parse_probability
 from actionccg.errors import (DegenerateCorpusError, InductionFailureError,
+                              InvalidConfigError, NonFiniteWeightError,
                               SkippedSampleWarning)
 from actionccg.grammar import LexEntry, Lexicon, N, parse_category
 from actionccg.learning import (ACTION_CATEGORY, TrainConfig, TrainingSample,
@@ -229,6 +230,29 @@ class TestTrain:
         for key, a in analytic.items():
             n = numeric[key]
             assert abs(a - n) <= 1e-6 * max(1.0, abs(a), abs(n))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("settings", [
+        {"iterations": -1}, {"step_budget": 0}, {"learning_rate": math.inf},
+        {"learning_rate": math.nan}, {"l2": math.inf}, {"l2": -math.inf}])
+    def test_out_of_range_settings_rejected(self, settings):
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(**settings)
+
+    def test_edge_settings_accepted(self):
+        TrainConfig(iterations=0, step_budget=1, learning_rate=-1.0, l2=-1.0)
+
+    def test_divergent_training_stops_at_the_first_non_finite_weight(self):
+        corpus = [sample("spoon stirring bucket", "stirring(spoon,bucket)")]
+        lexicon = NOUNS.with_entries(induce_entries(corpus[0], NOUNS))
+        lexicon = lexicon.with_weights({lexicon.lookup("Cup")[0].key: 1.0})
+        # the l2 step multiplies the weight by 1 - 1e6 each iteration, so it
+        # overflows at iteration 52, long before the millionth
+        config = TrainConfig(iterations=1_000_000, learning_rate=1e6, l2=1.0)
+        with pytest.raises(NonFiniteWeightError,
+                           match=r"for Cup := N : cup at training iteration 52$"):
+            train(corpus, lexicon, config)
 
 
 class TestLogLikelihood:

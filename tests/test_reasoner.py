@@ -1,17 +1,18 @@
 """Fact base maintenance, event ingestion, and forward chaining."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from actionccg import parse_term
+from actionccg import parse_term, reasoning
 from actionccg.errors import (BudgetExceededError, MalformedEventError,
                               RangeRestrictionError, SourceSyntaxError)
-from actionccg.reasoning import (FactBase, Literal, assert_event,
+from actionccg.reasoning import (AxiomRule, FactBase, Literal, assert_event,
                                  forward_chain, parse_axiom, parse_literal,
                                  report)
 
-from oracles import naive_chain_atoms
+from oracles import naive_chain_atoms, seminaive_chain_literals
 
 AXIOM_TEXTS = (
     "axiom a1: contained(Y,X) & on_top(Z,Y) => on_top(Z,X)",
@@ -257,6 +258,100 @@ class TestForwardChain:
         derived = closed.literals[len(kb.literals):]
         assert [str(l) for l in derived] == ["on_top(box,ball)",
                                              "divided(ball)"]
+
+
+class TestRunawayRule:
+    """A cross-product rule stops at the budget without building the
+    product: 300 facts give 27 million bindings, over a gigabyte as
+    tuples, and even the 90,000 bindings of the first two positions
+    take several megabytes."""
+
+    RULE = parse_axiom("axiom runaway: p(X) & p(Y) & p(Z) => q(X,Y,Z)")
+    FACTS = [lit(f"p(o{i})") for i in range(300)]
+
+    def peak_bytes_until_budget(self, kb):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                forward_chain(kb, [self.RULE], max_derived=50)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_unmarked_fact_base(self):
+        kb = FactBase(tuple(self.FACTS))
+        assert self.peak_bytes_until_budget(kb) < 1_000_000
+
+    def test_fact_base_closed_before_the_new_facts(self):
+        kb = forward_chain(FactBase(tuple(self.FACTS[:1])), [self.RULE])
+        for fact in self.FACTS[1:]:
+            kb = kb.with_literal(fact)
+        assert self.peak_bytes_until_budget(kb) < 1_000_000
+
+
+class TestJoinPlan:
+    """Plans for literal shapes that the random decks never draw: three
+    arguments, with the probed argument after a new or a repeated
+    variable.  Other arities share each probed bucket, so the arity test
+    matters."""
+
+    def chain_one(self, text, *facts):
+        rule = parse_axiom(text)
+        kb = kb_of(*facts)
+        closed = forward_chain(kb, [rule])
+        assert closed.literals == seminaive_chain_literals(kb, [rule])
+        return rule.plan, [str(l) for l in closed.literals[len(kb.literals):]]
+
+    def test_first_bound_argument_after_a_new_variable(self):
+        plan, derived = self.chain_one(
+            "axiom r: holds(Y) & link(X,Y,Z) => reach(X,Z)",
+            "holds(b)", "link(a,b,c)", "link(b,a,c)", "link(a,b)",
+            "link(d,b,e,f)", "link(e,b,g)")
+        assert (plan.steps[1].position, plan.steps[1].slot) == (1, 0)
+        assert derived == ["reach(a,c)", "reach(e,g)"]
+
+    def test_constant_after_a_repeated_variable(self):
+        plan, derived = self.chain_one(
+            "axiom r: triple(X,X,lid) => sealed(X)",
+            "triple(a,a,lid)", "triple(b,a,lid)", "triple(c,c,cap)",
+            "triple(e,e,lid,x)", "triple(f,f,lid)")
+        assert plan.seed == ("lid",)
+        assert plan.steps[0].position == 2
+        assert derived == ["sealed(a)", "sealed(f)"]
+
+    def test_bound_argument_after_a_repeated_variable(self):
+        plan, derived = self.chain_one(
+            "axiom r: mark(Z) & edge(X,X,Z) => loop(X,Z)",
+            "mark(m)", "edge(a,a,m)", "edge(b,a,m)", "edge(c,c,n)",
+            "edge(d,d,m,m)", "edge(m,m,m)")
+        assert plan.steps[1].position == 2
+        assert derived == ["loop(a,m)", "loop(m,m)"]
+
+    def test_checked_variable_and_head_constant(self):
+        plan, derived = self.chain_one(
+            "axiom r: box(X) & pair(Y,X,X) => tagged(Y,X,kept)",
+            "box(a)", "pair(p,a,a)", "pair(q,a,b)", "pair(r,a)",
+            "pair(s,a,a,a)", "box(b)", "pair(t,b,b)")
+        assert plan.steps[1].check is not None
+        assert derived == ["tagged(p,a,kept)", "tagged(t,b,kept)"]
+
+    def test_plan_is_built_once_with_the_rule(self, monkeypatch):
+        rule = parse_axiom(AXIOM_TEXTS[0])
+        monkeypatch.setattr(reasoning, "_compile", None)
+        closed = forward_chain(kb_of("contained(bucket,ball)",
+                                     "on_top(box,bucket)"), [rule])
+        assert lit("on_top(box,ball)") in closed
+
+    def test_plan_leaves_equality_hash_and_repr_alone(self):
+        one, two = parse_axiom(AXIOM_TEXTS[0]), parse_axiom(AXIOM_TEXTS[0])
+        assert one.plan is not two.plan
+        assert one == two and hash(one) == hash(two)
+        assert "plan" not in repr(one)
+
+    def test_rule_built_directly_is_range_restricted(self):
+        with pytest.raises(RangeRestrictionError):
+            AxiomRule("loose", (lit("p(a)"),),
+                      Literal(True, "q", ("X",)))
 
 
 class TestClosedMarker:

@@ -4,9 +4,10 @@ import pytest
 
 from actionccg import parse_term
 from actionccg.errors import SourceSyntaxError
-from actionccg.syntax import is_variable_name
+from actionccg.syntax import MAX_DEPTH, is_variable_name
 from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
-                             Not, Or, Pred, Var, render)
+                             Not, Or, Pred, Var, alpha_eq, beta_reduce,
+                             canonical, render, substitute)
 
 
 class TestPrecedence:
@@ -138,3 +139,42 @@ class TestErrors:
     def test_dangling_operator(self):
         with pytest.raises(SourceSyntaxError):
             parse_term("moved(box) &")
+
+
+# Terms nested ``depth`` levels deep, one for each way of nesting.
+NESTINGS = {
+    "negation": lambda depth: "!" * (depth - 1) + "knife",
+    "parentheses": lambda depth: "(" * (depth - 1) + "knife" + ")" * (depth - 1),
+    "arguments": lambda depth: "p(" * (depth - 1) + "knife" + ")" * (depth - 1),
+    "conjunction": lambda depth: " & ".join(["knife"] * depth),
+    "implication": lambda depth: "knife -> " * (depth - 1) + "knife",
+    "lambda": lambda depth: r"\x." * (depth - 1) + "x",
+    "application": lambda depth: "f " + " ".join(["knife"] * (depth - 1)),
+    "bound functor": lambda depth: (r"\f." + "f(" * (depth - 2) + "knife"
+                                    + ")" * (depth - 2)),
+}
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("shape", sorted(NESTINGS))
+    def test_deepest_term_survives_every_walker(self, shape):
+        form = parse_term(NESTINGS[shape](MAX_DEPTH))
+        # called from well inside the stack, as the chart calls them
+        def nested(levels):
+            if levels:
+                return nested(levels - 1)
+            reduced = beta_reduce(form)
+            return (canonical(form), render(reduced), alpha_eq(form, reduced),
+                    substitute(form, "x", Const("cup")), hash(form))
+        nested(200)
+
+    @pytest.mark.parametrize("shape", sorted(NESTINGS))
+    def test_one_level_deeper_is_a_syntax_error(self, shape):
+        with pytest.raises(SourceSyntaxError, match="nested deeper than"):
+            parse_term(NESTINGS[shape](MAX_DEPTH + 1))
+
+    def test_thousands_of_levels_raise_no_recursion_error(self):
+        for text in ("!" * 3000 + "knife", "(" * 3000 + "knife" + ")" * 3000,
+                     " & ".join(["knife"] * 3000)):
+            with pytest.raises(SourceSyntaxError):
+                parse_term(text)
