@@ -181,9 +181,17 @@ def _enumerate(item: _Item) -> list[Derivation]:
     return out
 
 
-def _log_norm(scores) -> float:
+def exp_mass(scores) -> tuple[float, float]:
+    """``(top, fsum(exp(s - top)))`` over ``scores``, ``top`` the largest:
+    log-sum-exp in two parts, so that no ``exp`` overflows."""
     top = max(scores)
-    return top + math.log(math.fsum(math.exp(s - top) for s in scores))
+    return top, math.fsum(math.exp(s - top) for s in scores)
+
+
+def log_norm(scores) -> float:
+    """``log(sum(exp(s)))`` over ``scores``."""
+    top, mass = exp_mass(scores)
+    return top + math.log(mass)
 
 
 def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
@@ -200,7 +208,7 @@ def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
                if canonical(d.semantics) == target]
     if not matched:
         return 0.0
-    return math.exp(_log_norm(matched) - _log_norm(scores))
+    return math.exp(log_norm(matched) - log_norm(scores))
 
 
 def argmax_parse(tokens, lexicon: Lexicon, budget: int | None = None) -> ParseResult:
@@ -211,14 +219,14 @@ def argmax_parse(tokens, lexicon: Lexicon, budget: int | None = None) -> ParseRe
     """
     derivations = parse_all(tokens, lexicon, budget)
     scores = [d.score(lexicon) for d in derivations]
-    total = _log_norm(scores)
+    total = log_norm(scores)
     groups: dict[str, list[int]] = {}
     for idx, derivation in enumerate(derivations):
         groups.setdefault(canonical(derivation.semantics), []).append(idx)
     best_key = None
     best_mass = -math.inf
     for key in sorted(groups):
-        mass = _log_norm([scores[i] for i in groups[key]])
+        mass = log_norm([scores[i] for i in groups[key]])
         if mass > best_mass + 1e-12:
             best_key, best_mass = key, mass
     chosen = [derivations[i] for i in groups[best_key]]

@@ -27,7 +27,7 @@ from .errors import ArityConflictError, SourceSyntaxError
 from .grammar import LexEntry, Lexicon, parse_category
 from .learning import TrainingSample
 from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
-from .syntax import parse_term
+from .syntax import parse_term, variable_shape_note
 from .terms import Pred, Term, beta_reduce, free_vars, render, replace_constant
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -65,12 +65,7 @@ class _ArityAudit:
             node = stack.pop()
             if isinstance(node, Pred):
                 self._check(node.name, len(node.args), line)
-            for attr in ("args", "fun", "arg", "left", "right", "body"):
-                child = getattr(node, attr, None)
-                if isinstance(child, Term):
-                    stack.append(child)
-                elif isinstance(child, tuple):
-                    stack.extend(child)
+            stack.extend(node.kids())
 
     def observe_literal(self, literal: Literal, line: int) -> None:
         self._check(literal.predicate, len(literal.args), line)
@@ -157,7 +152,8 @@ def load_corpus(path) -> list[TrainingSample]:
         stray = free_vars(gold)
         if stray:
             raise SourceSyntaxError(
-                f"annotation has free variables: {', '.join(sorted(stray))}",
+                f"annotation has free variables: "
+                f"{variable_shape_note(sorted(stray))}",
                 line=number, path=str(path))
         audit.observe_term(gold, number)
         samples.append(TrainingSample(tokens, gold))

@@ -24,9 +24,9 @@ from functools import cached_property
 
 from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
                      SourceSyntaxError)
-from .terms import (App, Const, Exists, Forall, Implies, Lam, Term, Var, And,
-                    all_names, beta_reduce, canonical, free_vars, fresh_name,
-                    substitute)
+from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term, Var,
+                    And, all_names, beta_reduce, canonical, free_vars,
+                    fresh_name, substitute)
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
 GOAL_CATEGORY_NAME = "AP"
@@ -259,22 +259,24 @@ def apply_argument(fun: Term, arg: Term, budget: int | None = None) -> Term:
     """
     kwargs = {} if budget is None else {"budget": budget}
     if isinstance(fun, (Forall, Exists)):
-        var, body = fun.var, fun.body
-        if var in free_vars(arg):
-            renamed = fresh_name(var, free_vars(arg) | all_names(body))
-            body = substitute(body, var, Var(renamed))
-            var = renamed
-        return type(fun)(var, apply_argument(body, arg, budget))
+        return _under_binder(fun, arg, apply_argument, budget)
     if isinstance(arg, (Forall, Exists)):
         return _hoist_quantifier(fun, arg, budget)
     if isinstance(fun, Lam) and isinstance(fun.body, Lam):
-        param, body = fun.param, fun.body
-        if param in free_vars(arg):
-            renamed = fresh_name(param, free_vars(arg) | all_names(body))
-            body = substitute(body, param, Var(renamed))
-            param = renamed
-        return Lam(param, apply_argument(body, arg, budget))
+        return _under_binder(fun, arg, apply_argument, budget)
     return beta_reduce(App(fun, arg), **kwargs)
+
+
+def _under_binder(binder: Binder, outside: Term, inner, *extra) -> Term:
+    """``binder`` over ``inner(body, outside, *extra)``, its variable first
+    renamed away from the free variables of ``outside``."""
+    name, body = binder.binds, binder.body
+    taken = free_vars(outside)
+    if name in taken:
+        renamed = fresh_name(name, taken | all_names(body))
+        body = substitute(body, name, Var(renamed))
+        name = renamed
+    return binder.rebind(name, inner(body, outside, *extra))
 
 
 def _hoist_quantifier(fun: Term, arg: Term, budget: int | None) -> Term:
@@ -282,17 +284,12 @@ def _hoist_quantifier(fun: Term, arg: Term, budget: int | None) -> Term:
     restrictor = (arg.body if var == arg.var
                   else substitute(arg.body, arg.var, Var(var)))
     core = apply_argument(fun, Var(var), budget)
-    return type(arg)(var, _push_restrictor(restrictor, core))
+    return type(arg)(var, _push_restrictor(core, restrictor))
 
 
-def _push_restrictor(restrictor: Term, target: Term) -> Term:
+def _push_restrictor(target: Term, restrictor: Term) -> Term:
     if isinstance(target, Lam):
-        param, body = target.param, target.body
-        if param in free_vars(restrictor):
-            renamed = fresh_name(param, free_vars(restrictor) | all_names(body))
-            body = substitute(body, param, Var(renamed))
-            param = renamed
-        return Lam(param, _push_restrictor(restrictor, body))
+        return _under_binder(target, restrictor, _push_restrictor)
     if isinstance(target, Implies):
         return Implies(And(restrictor, target.left), target.right)
     return And(restrictor, target)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import (DegenerateCorpusError, InductionFailureError,
                      InvalidConfigError, NoParseError, NonFiniteWeightError,
                      SkippedSampleWarning, UnknownTokenError)
-from .chart import parse_all
+from .chart import exp_mass, log_norm, parse_all
 from .grammar import (AP, Backward, Forward, N, NP, LexEntry, Lexicon,
                       apply_argument)
 from .syntax import parse_term
@@ -158,12 +158,8 @@ def _prepare(corpus, lexicon: Lexicon, budget: int | None = None):
 def _log_mass(rows, theta) -> tuple[float, float]:
     """(log sum over all derivations, log sum over matching ones)."""
     scores = [sum(theta[k] * c for k, c in counts.items()) for counts, _ in rows]
-    top = max(scores)
-    total = top + math.log(math.fsum(math.exp(s - top) for s in scores))
     gold_scores = [s for s, (_, gold) in zip(scores, rows) if gold]
-    gtop = max(gold_scores)
-    gold = gtop + math.log(math.fsum(math.exp(s - gtop) for s in gold_scores))
-    return total, gold
+    return log_norm(scores), log_norm(gold_scores)
 
 
 def log_likelihood(corpus, lexicon: Lexicon, budget: int | None = None) -> float:
@@ -212,8 +208,7 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
 def _accumulate(grad, rows, scores, gold_only: bool, sign: float) -> None:
     pool = [(counts, s) for (counts, gold), s in zip(rows, scores)
             if gold or not gold_only]
-    top = max(s for _, s in pool)
-    norm = math.fsum(math.exp(s - top) for _, s in pool)
+    top, norm = exp_mass([s for _, s in pool])
     for counts, s in pool:
         p = math.exp(s - top) / norm
         for key, count in counts.items():

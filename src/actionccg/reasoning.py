@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 
 from .errors import (BudgetExceededError, MalformedEventError,
                      RangeRestrictionError, SourceSyntaxError)
-from .terms import And, Const, Implies, Not, Pred, Term
+from .syntax import variable_shape_note
+from .terms import And, Const, Implies, Not, Pred, Term, Var
 
 MAX_DERIVED = 100_000
 
@@ -266,8 +267,10 @@ def _ground_atom(pred: Pred) -> Literal:
     args = []
     for arg in pred.args:
         if not isinstance(arg, Const):
-            raise MalformedEventError(
-                f"event atom {pred} is not ground")
+            note = variable_shape_note(
+                [a.name for a in pred.args if isinstance(a, Var)])
+            raise MalformedEventError(f"event atom {pred} is not ground"
+                                      + (f"; variables: {note}" if note else ""))
         args.append(arg.name)
     return Literal(True, pred.name, tuple(args))
 

@@ -32,7 +32,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VAR_SHAPE_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _KEYWORDS = ("forall", "exists")
 # Deepest nesting a term may have.  The parser spends up to six stack
-# frames per level and the recursive term walkers up to two, so a term
+# frames per level and the recursive term walkers up to two (their own
+# and, in ``_subst`` and ``_render``, a list comprehension's), so a term
 # this deep stays well inside Python's default recursion limit of 1,000.
 MAX_DEPTH = 100
 
@@ -40,6 +41,16 @@ MAX_DEPTH = 100
 def is_variable_name(name: str) -> bool:
     """Shape rule for unbound identifiers: one letter plus optional digits."""
     return bool(_VAR_SHAPE_RE.fullmatch(name))
+
+
+def variable_shape_note(names) -> str:
+    """For a diagnostic: those of ``names`` the shape rule reads as
+    variables, and why they are no constants; '' when there are none."""
+    shaped = [name for name in names if is_variable_name(name)]
+    if not shaped:
+        return ""
+    return (f"{', '.join(shaped)} (one letter plus optional digits is read "
+            "as a variable, so a constant needs a longer name)")
 
 
 class _Tokens:

@@ -5,12 +5,21 @@ Terms are immutable trees.  ``Pred`` covers saturated predications such as
 (a bound name, as in ``\\f.forall x.f(x)``) is kept as an ``App`` spine and
 collapses into a ``Pred`` as soon as reduction reveals an atomic head.
 All operations are pure, so sharing terms across threads is safe.
+
+Every node lists its direct subterms from left to right with ``kids()``
+and rebuilds itself around new ones with ``remake(kids)``; a ``Binder``
+(``Lam``, ``Forall``, ``Exists``) also names the variable it ``binds``, and
+``rebind(name, body)`` builds the same kind of binder over a new name and
+body.  The walkers below handle only the nodes they treat specially and
+recurse through that pair for the rest, so the node classes alone decide
+which fields are subterms.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ConstantFunctionWarning, NonTerminationError
 
@@ -18,9 +27,17 @@ DEFAULT_STEP_BUDGET = 10_000
 
 
 class Term:
-    """Base class for logical-form nodes."""
+    """Base class for logical-form nodes; a leaf has no kids."""
 
     __slots__ = ()
+
+    def kids(self) -> tuple[Term, ...]:
+        """Direct subterms, left to right."""
+        return ()
+
+    def remake(self, kids) -> Term:
+        """This node around ``kids`` in place of its own subterms."""
+        return self
 
     def __str__(self) -> str:
         return render(self)
@@ -44,11 +61,11 @@ class Pred(Term):
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
 
+    def kids(self) -> tuple[Term, ...]:
+        return self.args
 
-@dataclass(frozen=True)
-class Lam(Term):
-    param: str
-    body: Term
+    def remake(self, kids) -> Term:
+        return Pred(self.name, kids)
 
 
 @dataclass(frozen=True)
@@ -56,44 +73,86 @@ class App(Term):
     fun: Term
     arg: Term
 
+    def kids(self) -> tuple[Term, ...]:
+        return (self.fun, self.arg)
 
-@dataclass(frozen=True)
-class And(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Or(Term):
-    left: Term
-    right: Term
+    def remake(self, kids) -> Term:
+        return App(*kids)
 
 
 @dataclass(frozen=True)
 class Not(Term):
     body: Term
 
+    def kids(self) -> tuple[Term, ...]:
+        return (self.body,)
+
+    def remake(self, kids) -> Term:
+        return Not(*kids)
+
 
 @dataclass(frozen=True)
-class Implies(Term):
+class _Connective(Term):
     left: Term
     right: Term
 
+    def kids(self) -> tuple[Term, ...]:
+        return (self.left, self.right)
+
+    def remake(self, kids) -> Term:
+        return type(self)(*kids)
+
+
+class And(_Connective):
+    pass
+
+
+class Or(_Connective):
+    pass
+
+
+class Implies(_Connective):
+    pass
+
+
+class Binder(Term):
+    """A node that binds the name ``binds`` over its ``body``."""
+
+    __slots__ = ()
+
+    def kids(self) -> tuple[Term, ...]:
+        return (self.body,)
+
+    def remake(self, kids) -> Term:
+        return self.rebind(self.binds, *kids)
+
+    def rebind(self, name: str, body: Term) -> Term:
+        """This binder binding ``name`` over ``body``."""
+        return type(self)(name, body)
+
 
 @dataclass(frozen=True)
-class Forall(Term):
+class Lam(Binder):
+    param: str
+    body: Term
+
+    binds = property(attrgetter("param"))
+
+
+@dataclass(frozen=True)
+class _Quantifier(Binder):
     var: str
     body: Term
 
-
-@dataclass(frozen=True)
-class Exists(Term):
-    var: str
-    body: Term
+    binds = property(attrgetter("var"))
 
 
-_BINARY = (And, Or, Implies)
-_QUANT = (Forall, Exists)
+class Forall(_Quantifier):
+    pass
+
+
+class Exists(_Quantifier):
+    pass
 
 
 def free_vars(term: Term) -> frozenset[str]:
@@ -111,25 +170,11 @@ def _free(t: Term, bound: frozenset[str], out: set[str]) -> None:
     if isinstance(t, Var):
         if t.name not in bound:
             out.add(t.name)
-    elif isinstance(t, Const):
-        pass
-    elif isinstance(t, Pred):
-        for a in t.args:
-            _free(a, bound, out)
-    elif isinstance(t, Lam):
-        _free(t.body, bound | {t.param}, out)
-    elif isinstance(t, App):
-        _free(t.fun, bound, out)
-        _free(t.arg, bound, out)
-    elif isinstance(t, _BINARY):
-        _free(t.left, bound, out)
-        _free(t.right, bound, out)
-    elif isinstance(t, Not):
-        _free(t.body, bound, out)
-    elif isinstance(t, _QUANT):
-        _free(t.body, bound | {t.var}, out)
+    elif isinstance(t, Binder):
+        _free(t.body, bound | {t.binds}, out)
     else:
-        raise TypeError(f"not a term: {t!r}")
+        for kid in t.kids():
+            _free(kid, bound, out)
 
 
 def all_names(term: Term) -> frozenset[str]:
@@ -138,25 +183,11 @@ def all_names(term: Term) -> frozenset[str]:
     stack = [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, (Var, Const)):
+        if isinstance(t, (Var, Const, Pred)):
             out.add(t.name)
-        elif isinstance(t, Pred):
-            out.add(t.name)
-            stack.extend(t.args)
-        elif isinstance(t, Lam):
-            out.add(t.param)
-            stack.append(t.body)
-        elif isinstance(t, App):
-            stack.append(t.fun)
-            stack.append(t.arg)
-        elif isinstance(t, _BINARY):
-            stack.append(t.left)
-            stack.append(t.right)
-        elif isinstance(t, Not):
-            stack.append(t.body)
-        elif isinstance(t, _QUANT):
-            out.add(t.var)
-            stack.append(t.body)
+        elif isinstance(t, Binder):
+            out.add(t.binds)
+        stack.extend(t.kids())
     return frozenset(out)
 
 
@@ -188,80 +219,40 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
 def _subst(t: Term, var: str, rep: Term, fvr: frozenset[str]) -> Term:
     if isinstance(t, Var):
         return rep if t.name == var else t
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Pred):
-        args = tuple(_subst(a, var, rep, fvr) for a in t.args)
-        if t.name == var:
-            if isinstance(rep, (Var, Const)):
-                return Pred(rep.name, args)
-            spine: Term = rep
-            for a in args:
-                spine = App(spine, a)
-            return spine
-        return Pred(t.name, args)
-    if isinstance(t, App):
-        return App(_subst(t.fun, var, rep, fvr), _subst(t.arg, var, rep, fvr))
-    if isinstance(t, Lam):
-        if t.param == var:
+    if isinstance(t, Binder):
+        if t.binds == var:
             return t
-        body = t.body
-        param = t.param
-        if param in fvr and var in free_vars(body):
-            param = fresh_name(param, fvr | all_names(body) | {var})
-            body = _subst(body, t.param, Var(param), frozenset({param}))
-        return Lam(param, _subst(body, var, rep, fvr))
-    if isinstance(t, _QUANT):
-        if t.var == var:
-            return t
-        body = t.body
-        bound = t.var
-        if bound in fvr and var in free_vars(body):
-            bound = fresh_name(bound, fvr | all_names(body) | {var})
-            body = _subst(body, t.var, Var(bound), frozenset({bound}))
-        return type(t)(bound, _subst(body, var, rep, fvr))
-    if isinstance(t, _BINARY):
-        return type(t)(_subst(t.left, var, rep, fvr), _subst(t.right, var, rep, fvr))
-    if isinstance(t, Not):
-        return Not(_subst(t.body, var, rep, fvr))
-    raise TypeError(f"not a term: {t!r}")
+        name, body = t.binds, t.body
+        if name in fvr and var in free_vars(body):
+            name = fresh_name(name, fvr | all_names(body) | {var})
+            body = _subst(body, t.binds, Var(name), frozenset({name}))
+        return t.rebind(name, _subst(body, var, rep, fvr))
+    kids = [_subst(kid, var, rep, fvr) for kid in t.kids()]
+    if isinstance(t, Pred) and t.name == var:
+        if isinstance(rep, (Var, Const)):
+            return Pred(rep.name, kids)
+        spine = rep
+        for arg in kids:
+            spine = App(spine, arg)
+        return spine
+    return t.remake(kids)
 
 
 def _step(t: Term) -> tuple[Term, bool]:
     """One leftmost-outermost reduction step; returns (term, stepped)."""
     if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            return substitute(t.fun.body, t.fun.param, t.arg), True
-        if isinstance(t.fun, Const):
-            return Pred(t.fun.name, (t.arg,)), True
-        if isinstance(t.fun, Pred):
-            return Pred(t.fun.name, t.fun.args + (t.arg,)), True
-        fun, stepped = _step(t.fun)
+        fun = t.fun
+        if isinstance(fun, Lam):
+            return substitute(fun.body, fun.param, t.arg), True
+        if isinstance(fun, Const):
+            return Pred(fun.name, (t.arg,)), True
+        if isinstance(fun, Pred):
+            return Pred(fun.name, fun.args + (t.arg,)), True
+    kids = t.kids()
+    for i, kid in enumerate(kids):
+        new, stepped = _step(kid)
         if stepped:
-            return App(fun, t.arg), True
-        arg, stepped = _step(t.arg)
-        return App(t.fun, arg), stepped
-    if isinstance(t, Lam):
-        body, stepped = _step(t.body)
-        return Lam(t.param, body), stepped
-    if isinstance(t, Pred):
-        for i, a in enumerate(t.args):
-            na, stepped = _step(a)
-            if stepped:
-                return Pred(t.name, t.args[:i] + (na,) + t.args[i + 1:]), True
-        return t, False
-    if isinstance(t, _BINARY):
-        left, stepped = _step(t.left)
-        if stepped:
-            return type(t)(left, t.right), True
-        right, stepped = _step(t.right)
-        return type(t)(t.left, right), stepped
-    if isinstance(t, Not):
-        body, stepped = _step(t.body)
-        return Not(body), stepped
-    if isinstance(t, _QUANT):
-        body, stepped = _step(t.body)
-        return type(t)(t.var, body), stepped
+            return t.remake(kids[:i] + (new,) + kids[i + 1:]), True
     return t, False
 
 
@@ -296,25 +287,18 @@ def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
         return False
     if isinstance(a, Var):
         return ea.get(a.name, a.name) == eb.get(b.name, b.name)
-    if isinstance(a, Const):
-        return a.name == b.name
-    if isinstance(a, Pred):
-        return (a.name == b.name and len(a.args) == len(b.args)
-                and all(_aeq(x, y, ea, eb, depth) for x, y in zip(a.args, b.args)))
-    if isinstance(a, Lam):
-        return _aeq(a.body, b.body, {**ea, a.param: depth}, {**eb, b.param: depth},
+    if isinstance(a, Binder):
+        return _aeq(a.body, b.body, {**ea, a.binds: depth}, {**eb, b.binds: depth},
                     depth + 1)
-    if isinstance(a, App):
-        return _aeq(a.fun, b.fun, ea, eb, depth) and _aeq(a.arg, b.arg, ea, eb, depth)
-    if isinstance(a, _BINARY):
-        return (_aeq(a.left, b.left, ea, eb, depth)
-                and _aeq(a.right, b.right, ea, eb, depth))
-    if isinstance(a, Not):
-        return _aeq(a.body, b.body, ea, eb, depth)
-    if isinstance(a, _QUANT):
-        return _aeq(a.body, b.body, {**ea, a.var: depth}, {**eb, b.var: depth},
-                    depth + 1)
-    raise TypeError(f"not a term: {a!r}")
+    if isinstance(a, (Const, Pred)) and a.name != b.name:
+        return False
+    ka, kb = a.kids(), b.kids()
+    if len(ka) != len(kb):
+        return False
+    for x, y in zip(ka, kb):
+        if not _aeq(x, y, ea, eb, depth):
+            return False
+    return True
 
 
 def canonical(term: Term) -> str:
@@ -324,32 +308,7 @@ def canonical(term: Term) -> str:
     alpha-equivalent, so the string doubles as a dictionary key for
     grouping derivations by logical form.
     """
-    counter = [0]
-    return render(_canon(term, {}, counter))
-
-
-def _canon(t: Term, env: dict, counter: list[int]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Pred):
-        return Pred(t.name, tuple(_canon(a, env, counter) for a in t.args))
-    if isinstance(t, Lam):
-        new = f"_{counter[0]}"
-        counter[0] += 1
-        return Lam(new, _canon(t.body, {**env, t.param: new}, counter))
-    if isinstance(t, App):
-        return App(_canon(t.fun, env, counter), _canon(t.arg, env, counter))
-    if isinstance(t, _BINARY):
-        return type(t)(_canon(t.left, env, counter), _canon(t.right, env, counter))
-    if isinstance(t, Not):
-        return Not(_canon(t.body, env, counter))
-    if isinstance(t, _QUANT):
-        new = f"_{counter[0]}"
-        counter[0] += 1
-        return type(t)(new, _canon(t.body, {**env, t.var: new}, counter))
-    raise TypeError(f"not a term: {t!r}")
+    return _render(term, _P_BODY, {}, [0])
 
 
 def inverse_lambda(result: Term, arg: Term) -> Lam:
@@ -371,34 +330,16 @@ def inverse_lambda(result: Term, arg: Term) -> Lam:
 def _replace(t: Term, target: Term, v: str, bound: frozenset[str]) -> tuple[Term, int]:
     if not (free_vars(target) & bound) and alpha_eq(t, target):
         return Var(v), 1
-    if isinstance(t, (Var, Const)):
-        return t, 0
-    if isinstance(t, Pred):
-        total = 0
-        args = []
-        for a in t.args:
-            na, n = _replace(a, target, v, bound)
-            args.append(na)
-            total += n
-        return Pred(t.name, tuple(args)), total
-    if isinstance(t, Lam):
-        body, n = _replace(t.body, target, v, bound | {t.param})
-        return Lam(t.param, body), n
-    if isinstance(t, App):
-        fun, n1 = _replace(t.fun, target, v, bound)
-        arg, n2 = _replace(t.arg, target, v, bound)
-        return App(fun, arg), n1 + n2
-    if isinstance(t, _BINARY):
-        left, n1 = _replace(t.left, target, v, bound)
-        right, n2 = _replace(t.right, target, v, bound)
-        return type(t)(left, right), n1 + n2
-    if isinstance(t, Not):
-        body, n = _replace(t.body, target, v, bound)
-        return Not(body), n
-    if isinstance(t, _QUANT):
-        body, n = _replace(t.body, target, v, bound | {t.var})
-        return type(t)(t.var, body), n
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, Binder):
+        body, hits = _replace(t.body, target, v, bound | {t.binds})
+        return t.rebind(t.binds, body), hits
+    total = 0
+    kids = []
+    for kid in t.kids():
+        new, hits = _replace(kid, target, v, bound)
+        kids.append(new)
+        total += hits
+    return t.remake(kids), total
 
 
 def replace_constant(term: Term, old: str, new: str) -> Term:
@@ -414,47 +355,64 @@ def replace_constant(term: Term, old: str, new: str) -> Term:
 
 _P_BODY, _P_IMPL, _P_OR, _P_AND, _P_NOT, _P_APP, _P_ATOM = range(7)
 
+# Binder and infix nodes: (text before the parts, text between them, the
+# node's own precedence, the context each kid is rendered in).  A
+# binder's parts are the name it binds and its body; any other node's
+# parts are its kids.
+_SYNTAX = {
+    Lam: ("\\", ".", _P_BODY, (_P_BODY,)),
+    Forall: ("forall ", ".", _P_BODY, (_P_BODY,)),
+    Exists: ("exists ", ".", _P_BODY, (_P_BODY,)),
+    Implies: ("", " -> ", _P_IMPL, (_P_OR, _P_IMPL)),
+    Or: ("", " | ", _P_OR, (_P_OR, _P_AND)),
+    And: ("", " & ", _P_AND, (_P_AND, _P_NOT)),
+    Not: ("!", "", _P_NOT, (_P_NOT,)),
+}
+
 
 def render(term: Term) -> str:
     """ASCII surface form; ``parse_term`` inverts it."""
-    return _render(term, _P_BODY)
+    return _render(term, _P_BODY, {}, None)
 
 
-def _render(t: Term, ctx: int) -> str:
-    if isinstance(t, (Var, Const)):
+def _render(t: Term, ctx: int, env: dict[str, str],
+            counter: list[int] | None) -> str:
+    """``t`` in context ``ctx``.  ``env`` maps each bound name in scope to
+    its rendering: itself, or with a ``counter`` the next ``_0``, ``_1``,
+    ... in binder order."""
+    if isinstance(t, Var):
+        return env.get(t.name, t.name)
+    if isinstance(t, Const):
         return t.name
     if isinstance(t, Pred):
-        args = ",".join(_render(a, _P_BODY) for a in t.args)
+        args = ",".join([_render(a, _P_BODY, env, counter) for a in t.args])
         return f"{t.name}({args})"
     if isinstance(t, App):
+        # ``f(a,b)`` reads back as a spine only when ``f`` is bound; any
+        # other head is juxtaposed, as ``f a b``.
         head, args = _spine(t)
-        if isinstance(head, (Var, Const)):
-            rendered = ",".join(_render(a, _P_BODY) for a in args)
-            return f"{head.name}({rendered})"
-        out = f"{_render(t.fun, _P_APP)} {_render(t.arg, _P_ATOM)}"
+        if isinstance(head, Var) and head.name in env:
+            args = ",".join([_render(a, _P_BODY, env, counter) for a in args])
+            return f"{env[head.name]}({args})"
+        out = _render(head, _P_APP, env, counter)
+        for arg in args:
+            text = _render(arg, _P_ATOM, env, counter)
+            if text.startswith("(") and not out.endswith(")"):
+                out = f"({out})"  # ``f (a)`` would read back as ``f(a)``
+            out = f"{out} {text}"
         return f"({out})" if ctx > _P_APP else out
-    if isinstance(t, Lam):
-        out = f"\\{t.param}.{_render(t.body, _P_BODY)}"
-        return f"({out})" if ctx > _P_BODY else out
-    if isinstance(t, Forall):
-        out = f"forall {t.var}.{_render(t.body, _P_BODY)}"
-        return f"({out})" if ctx > _P_BODY else out
-    if isinstance(t, Exists):
-        out = f"exists {t.var}.{_render(t.body, _P_BODY)}"
-        return f"({out})" if ctx > _P_BODY else out
-    if isinstance(t, Implies):
-        out = f"{_render(t.left, _P_OR)} -> {_render(t.right, _P_IMPL)}"
-        return f"({out})" if ctx > _P_IMPL else out
-    if isinstance(t, Or):
-        out = f"{_render(t.left, _P_OR)} | {_render(t.right, _P_AND)}"
-        return f"({out})" if ctx > _P_OR else out
-    if isinstance(t, And):
-        out = f"{_render(t.left, _P_AND)} & {_render(t.right, _P_NOT)}"
-        return f"({out})" if ctx > _P_AND else out
-    if isinstance(t, Not):
-        out = f"!{_render(t.body, _P_NOT)}"
-        return f"({out})" if ctx > _P_NOT else out
-    raise TypeError(f"not a term: {t!r}")
+    before, between, prec, contexts = _SYNTAX[type(t)]
+    if isinstance(t, Binder):
+        name = t.binds
+        if counter is not None:
+            name = f"_{counter[0]}"
+            counter[0] += 1
+        body = _render(t.body, contexts[0], {**env, t.binds: name}, counter)
+        out = f"{before}{name}{between}{body}"
+    else:
+        out = before + between.join([_render(kid, c, env, counter)
+                                     for kid, c in zip(t.kids(), contexts)])
+    return f"({out})" if ctx > prec else out
 
 
 def _spine(t: App) -> tuple[Term, list[Term]]:

@@ -361,6 +361,21 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "nested deeper than" in err
 
+    def test_variable_shaped_constant_is_one_diagnostic_line(self, capsys,
+                                                             tmp_path):
+        corpus = tmp_path / "short_names.corpus"
+        corpus.write_text("Object_1 Hiding Object_0\t"
+                          "hiding(o1,o0) -> contained(o1,o0)\n",
+                          encoding="utf-8")
+        out_path = tmp_path / "learned.lex"
+        code, out, err = run(capsys, "learn", "--corpus", str(corpus),
+                             "--seed", str(data_path("seed.lex")),
+                             "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "o0, o1 (one letter plus optional digits" in err
+        assert "a constant needs a longer name" in err
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

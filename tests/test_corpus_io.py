@@ -3,13 +3,15 @@
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from actionccg import parse_term
 from actionccg.corpus import (data_path, load_axioms, load_corpus, load_gold,
                               load_lexicon, load_sequence, save_corpus,
                               save_lexicon, synthesize_corpus)
-from actionccg.errors import (ArityConflictError, DuplicateEntryWarning,
-                              SourceSyntaxError)
+from actionccg.errors import (ActionCCGError, ArityConflictError,
+                              DuplicateEntryWarning, SourceSyntaxError)
 from actionccg.grammar import N, parse_category
 from actionccg.learning import induce_corpus_entries
 from actionccg.terms import Const, canonical, free_vars
@@ -275,3 +277,31 @@ class TestSynthesizeCorpus:
         reloaded = load_corpus(path)
         assert [(s.tokens, canonical(s.gold)) for s in reloaded] == [
             (s.tokens, canonical(s.gold)) for s in out]
+
+
+# Pieces of every file format, so that generated files get past the first
+# checks of a loader more often than arbitrary text does.
+FORMAT_PIECES = ("\\", ".", "(", ")", ",", "&", "|", "!", "->", "=>", ":=",
+                 ":", "@", "#", "/", "\t", "\n", " ", "x", "o1", "knife",
+                 "Object_1", "N", "NP", "AP", "forall", "exists", "axiom",
+                 "X", "1e400", "nan", "-2.5")
+
+
+class TestLoadersOnArbitraryText:
+    @pytest.mark.parametrize("loader", [load_lexicon, load_corpus,
+                                        load_sequence, load_gold, load_axioms],
+                             ids=lambda loader: loader.__name__)
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(FORMAT_PIECES), max_size=40).map("".join)))
+    def test_returns_a_value_or_raises_a_package_error(self, tmp_path,
+                                                       loader, text):
+        path = write(tmp_path / "fuzzed.txt", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                loader(path)
+            except ActionCCGError:
+                pass

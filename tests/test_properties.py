@@ -98,10 +98,17 @@ class TestTermProperties:
 
     @COMMON
     @given(lambda_terms(env=("x", "y")))
-    def test_parse_render_reaches_a_fixpoint(self, term):
-        once = parse_term(render(term))
-        twice = parse_term(render(once))
-        assert to_debruijn(once) == to_debruijn(twice)
+    def test_render_parse_round_trip_with_free_variables(self, term):
+        assert to_debruijn(parse_term(render(term))) == to_debruijn(term)
+
+    @COMMON
+    @given(lambda_terms(env=("x", "y")))
+    def test_remake_of_its_own_kids_rebuilds_every_subterm(self, term):
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            assert node.remake(node.kids()) == node
+            stack.extend(node.kids())
 
     @COMMON
     @given(lambda_terms())

@@ -142,6 +142,13 @@ class TestAssertEvent:
         with pytest.raises(MalformedEventError):
             assert_event(parse_term(text), FactBase())
 
+    def test_variable_shaped_arguments_are_named(self):
+        with pytest.raises(MalformedEventError,
+                           match=r"not ground; variables: o1, o0 \(one letter"
+                                 r".*a constant needs a longer name"):
+            assert_event(parse_term("hiding(o1,o0) -> contained(o1,o0)"),
+                         FactBase())
+
     def test_any_single_atom_may_be_an_antecedent(self):
         kb = assert_event(parse_term("moved(box) -> divided(box)"), FactBase())
         assert lit("moved(box)") in kb and lit("divided(box)") in kb

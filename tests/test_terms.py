@@ -1,13 +1,17 @@
 """Unit tests for the term layer: substitution, reduction, equality."""
 
+import dataclasses
+import typing
+
 import pytest
 
 from actionccg import parse_term
 from actionccg.errors import ConstantFunctionWarning, NonTerminationError
-from actionccg.terms import (And, App, Const, Implies, Lam, Pred, Var,
-                             alpha_eq, beta_reduce, canonical, free_vars,
-                             fresh_name, inverse_lambda, is_beta_normal,
-                             render, replace_constant, substitute)
+from actionccg.terms import (And, App, Binder, Const, Implies, Lam, Pred,
+                             Term, Var, alpha_eq, beta_reduce, canonical,
+                             free_vars, fresh_name, inverse_lambda,
+                             is_beta_normal, render, replace_constant,
+                             substitute)
 from oracles import db_alpha_eq, db_subst_free, to_debruijn
 
 
@@ -194,3 +198,101 @@ class TestHelpers:
     def test_render_str_shortcut(self):
         form = Implies(And(Pred("p", (Const("a_c"),)), Const("b_c")), Const("c_c"))
         assert str(form) == render(form) == "p(a_c) & b_c -> c_c"
+
+    def test_free_variable_head_is_juxtaposed(self):
+        # f(knife) would read back as the predication below
+        spine = App(Var("f"), Const("knife"))
+        pred = Pred("f", (Const("knife"),))
+        assert not alpha_eq(spine, pred)
+        assert canonical(spine) != canonical(pred)
+        assert render(spine) == "f knife"
+        assert parse_term(render(spine)) == spine
+
+    def test_constant_head_is_juxtaposed(self):
+        spine = App(App(Const("cut"), Const("knife")), Const("cucumber"))
+        assert canonical(spine) != canonical(t("cut(knife,cucumber)"))
+        assert parse_term(render(spine)) == spine
+
+    @pytest.mark.parametrize("fun", [Var("f"), t(r"(\x.\y.x) knife")])
+    def test_parenthesized_argument_is_not_read_as_a_call(self, fun):
+        spine = App(fun, t("!moved(box)"))
+        assert parse_term(render(spine)) == spine
+
+    def test_bound_variable_head_keeps_call_syntax(self):
+        form = t(r"\f.f(knife,cucumber)")
+        assert isinstance(form.body, App)
+        assert render(form) == r"\f.f(knife,cucumber)"
+
+
+def concrete_term_classes():
+    """Every class below ``Term`` that has no subclass of its own."""
+    found, todo = [], [Term]
+    while todo:
+        cls = todo.pop()
+        subclasses = cls.__subclasses__()
+        todo.extend(subclasses)
+        if not subclasses:
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def field_types(cls):
+    hints = typing.get_type_hints(cls)
+    return [hints[field.name] for field in dataclasses.fields(cls)]
+
+
+def field_values(node):
+    return [getattr(node, field.name) for field in dataclasses.fields(node)]
+
+
+def sample_node(cls):
+    """An instance of ``cls`` with a distinct value in every field."""
+    values = []
+    for i, hint in enumerate(field_types(cls)):
+        if hint is str:
+            values.append(f"n{i}")
+        elif hint is Term:
+            values.append(Const(f"kid{i}"))
+        else:
+            values.append((Const(f"kid{i}a"), Const(f"kid{i}b")))
+    return cls(*values)
+
+
+class TestNodeShape:
+    """``kids``/``remake`` must follow the fields of every node class."""
+
+    def test_every_node_class_is_found(self):
+        names = {cls.__name__ for cls in concrete_term_classes()}
+        assert {"Var", "Const", "Pred", "Lam", "App", "And", "Or", "Not",
+                "Implies", "Forall", "Exists"} <= names
+
+    @pytest.mark.parametrize("cls", concrete_term_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_kids_are_the_term_fields_in_order(self, cls):
+        node = sample_node(cls)
+        values = field_values(node)
+        kids = []
+        for value in values:
+            if isinstance(value, Term):
+                kids.append(value)
+            elif isinstance(value, tuple):
+                kids.extend(value)
+        assert node.kids() == tuple(kids)
+        assert node.remake(node.kids()) == node
+        fresh = tuple(Const(f"new{i}") for i in range(len(kids)))
+        remade = node.remake(fresh)
+        assert type(remade) is cls and remade.kids() == fresh
+        names = [value for value in values if isinstance(value, str)]
+        assert names == [value for value in field_values(remade)
+                         if isinstance(value, str)]
+
+    @pytest.mark.parametrize("cls", concrete_term_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_a_name_over_one_subterm_is_a_binder(self, cls):
+        node = sample_node(cls)
+        assert isinstance(node, Binder) == (field_types(cls) == [str, Term])
+        if isinstance(node, Binder):
+            assert node.binds == field_values(node)[0]
+            renamed = node.rebind("w", Const("other"))
+            assert type(renamed) is cls and renamed.binds == "w"
+            assert renamed.kids() == (Const("other"),)
