@@ -84,16 +84,12 @@ class ParseResult:
 class _Item:
     category: Category
     semantics: Term
-    counts: tuple
+    counts: tuple  # the entry keys of its leaves, sorted
     span: tuple[int, int]
     backs: list = field(default_factory=list)
 
 
-def _counts_key(counts: Counter) -> tuple:
-    return tuple(sorted(counts.items()))
-
-
-def parse_all(tokens, lexicon: Lexicon, budget: int | None = None) -> list[Derivation]:
+def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
     """Every full-span derivation of the goal category, in chart order.
 
     Raises UnknownTokenError when a token has no entry and NoParseError
@@ -111,9 +107,8 @@ def parse_all(tokens, lexicon: Lexicon, budget: int | None = None) -> list[Deriv
     for i, token in enumerate(tokens):
         cell: dict = {}
         for entry in lexicon.lookup(token):
-            counts = _counts_key(Counter((entry.key,)))
-            _add(cell, entry.category, entry.semantics, counts, (i, i + 1),
-                 ("leaf", entry))
+            _add(cell, entry.category, entry.semantics, (entry.key,),
+                 (i, i + 1), ("leaf", entry))
         _close_unary(cell)
         cells[(i, i + 1)] = cell
     for width in range(2, n + 1):
@@ -124,13 +119,10 @@ def parse_all(tokens, lexicon: Lexicon, budget: int | None = None) -> list[Deriv
                 for litem in cells[(start, split)].values():
                     for ritem in cells[(split, end)].values():
                         made = combine((litem.category, litem.semantics),
-                                       (ritem.category, ritem.semantics),
-                                       budget)
+                                       (ritem.category, ritem.semantics))
                         if made is None:
                             continue
-                        counts = _counts_key(
-                            Counter(dict(litem.counts))
-                            + Counter(dict(ritem.counts)))
+                        counts = tuple(sorted(litem.counts + ritem.counts))
                         _add(cell, made[0], made[1], counts, (start, end),
                              ("binary", litem, ritem))
             _close_unary(cell)
@@ -146,7 +138,7 @@ def parse_all(tokens, lexicon: Lexicon, budget: int | None = None) -> list[Deriv
 
 def _add(cell: dict, category: Category, semantics: Term, counts: tuple,
          span: tuple[int, int], back) -> None:
-    key = (render_category(category), canonical(semantics), counts)
+    key = (category, canonical(semantics), counts)
     item = cell.get(key)
     if item is None:
         item = _Item(category, semantics, counts, span)
@@ -211,13 +203,13 @@ def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
     return math.exp(log_norm(matched) - log_norm(scores))
 
 
-def argmax_parse(tokens, lexicon: Lexicon, budget: int | None = None) -> ParseResult:
+def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
     """Most probable logical form, marginalizing over its derivations.
 
     Ties break toward the lexicographically smallest canonical rendering,
     which keeps the choice independent of chart order.
     """
-    derivations = parse_all(tokens, lexicon, budget)
+    derivations = parse_all(tokens, lexicon)
     scores = [d.score(lexicon) for d in derivations]
     total = log_norm(scores)
     groups: dict[str, list[int]] = {}

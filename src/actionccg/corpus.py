@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ArityConflictError, SourceSyntaxError
+from .errors import ArityConflictError, InvalidConfigError, SourceSyntaxError
 from .grammar import LexEntry, Lexicon, parse_category
 from .learning import TrainingSample
 from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
@@ -78,26 +78,28 @@ class _ArityAudit:
                 f"{arity} arguments but with {before[0]} on line {before[1]}")
 
 
-def _records(path) -> list[tuple[int, str]]:
+def _parsed(path, parse_line):
+    """``(line number, parse_line(record))`` for each record of ``path``, in
+    order; a SourceSyntaxError from ``parse_line`` gains the path and line."""
     text = Path(path).read_text(encoding="utf-8")
-    out = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((number, line))
-    return out
+        if not line:
+            continue
+        try:
+            value = parse_line(line)
+        except SourceSyntaxError as exc:
+            raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
+        yield number, value
 
 
 def load_lexicon(path) -> Lexicon:
     """Read a lexicon; duplicate entries merge with a warning."""
     audit = _ArityAudit(path)
     entries = []
-    for number, line in _records(path):
-        try:
-            entries.append(_parse_lexicon_line(line))
-        except SourceSyntaxError as exc:
-            raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
-        audit.observe_term(entries[-1].semantics, number)
+    for number, entry in _parsed(path, _parse_lexicon_line):
+        audit.observe_term(entry.semantics, number)
+        entries.append(entry)
     return Lexicon().with_entries(entries, warn_duplicates=True)
 
 
@@ -135,29 +137,27 @@ def load_corpus(path) -> list[TrainingSample]:
     """Read annotated triplets; annotations must be closed expressions."""
     audit = _ArityAudit(path)
     samples = []
-    for number, line in _records(path):
-        tokens_text, sep, term_text = line.partition("\t")
-        if not sep:
-            raise SourceSyntaxError("missing tab between tokens and annotation",
-                                    line=number, path=str(path))
-        tokens = tuple(tokens_text.split())
-        if len(tokens) != 3:
-            raise SourceSyntaxError(
-                f"expected 'subject action patient', got {tokens_text!r}",
-                line=number, path=str(path))
-        try:
-            gold = beta_reduce(parse_term(term_text.strip()))
-        except SourceSyntaxError as exc:
-            raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
-        stray = free_vars(gold)
-        if stray:
-            raise SourceSyntaxError(
-                f"annotation has free variables: "
-                f"{variable_shape_note(sorted(stray))}",
-                line=number, path=str(path))
-        audit.observe_term(gold, number)
-        samples.append(TrainingSample(tokens, gold))
+    for number, sample in _parsed(path, _parse_corpus_line):
+        audit.observe_term(sample.gold, number)
+        samples.append(sample)
     return samples
+
+
+def _parse_corpus_line(line: str) -> TrainingSample:
+    tokens_text, sep, term_text = line.partition("\t")
+    if not sep:
+        raise SourceSyntaxError("missing tab between tokens and annotation")
+    tokens = tuple(tokens_text.split())
+    if len(tokens) != 3:
+        raise SourceSyntaxError(
+            f"expected 'subject action patient', got {tokens_text!r}")
+    gold = beta_reduce(parse_term(term_text.strip()))
+    stray = free_vars(gold)
+    if stray:
+        raise SourceSyntaxError(
+            f"annotation has free variables: "
+            f"{variable_shape_note(sorted(stray))}")
+    return TrainingSample(tokens, gold)
 
 
 def save_corpus(samples, path, header: str | None = None) -> None:
@@ -167,25 +167,21 @@ def save_corpus(samples, path, header: str | None = None) -> None:
 
 
 def load_sequence(path) -> SequenceFile:
-    triplets = []
-    for number, line in _records(path):
-        tokens = tuple(line.split())
-        if len(tokens) != 3:
-            raise SourceSyntaxError(
-                f"expected 'Subject Action Patient', got {line!r}",
-                line=number, path=str(path))
-        triplets.append(tokens)
-    return SequenceFile(Path(path).stem, tuple(triplets))
+    triplets = tuple(triplet for _, triplet in _parsed(path, _parse_sequence_line))
+    return SequenceFile(Path(path).stem, triplets)
+
+
+def _parse_sequence_line(line: str) -> tuple[str, str, str]:
+    tokens = tuple(line.split())
+    if len(tokens) != 3:
+        raise SourceSyntaxError(f"expected 'Subject Action Patient', got {line!r}")
+    return tokens
 
 
 def load_gold(path) -> GoldConsequences:
     audit = _ArityAudit(path)
     literals = []
-    for number, line in _records(path):
-        try:
-            literal = parse_literal(line)
-        except SourceSyntaxError as exc:
-            raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
+    for number, literal in _parsed(path, parse_literal):
         audit.observe_literal(literal, number)
         if literal not in literals:
             literals.append(literal)
@@ -195,11 +191,7 @@ def load_gold(path) -> GoldConsequences:
 def load_axioms(path) -> list[AxiomRule]:
     audit = _ArityAudit(path)
     rules = []
-    for number, line in _records(path):
-        try:
-            rule = parse_axiom(line)
-        except SourceSyntaxError as exc:
-            raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
+    for number, rule in _parsed(path, parse_axiom):
         for literal in rule.body + (rule.head,):
             audit.observe_literal(literal, number)
         rules.append(rule)
@@ -212,8 +204,11 @@ def synthesize_corpus(base, objects, replicas: int = 15,
 
     The first replica keeps the original pairing; the rest draw distinct
     subject and patient names from ``objects`` with a seeded generator,
-    so the output is reproducible byte for byte.
+    so the output is reproducible byte for byte.  ``replicas`` below 1
+    raises InvalidConfigError.
     """
+    if replicas < 1:
+        raise InvalidConfigError(f"replicas must be at least 1, got {replicas}")
     rng = random.Random(seed)
     pool = [name for name in objects]
     out: list[TrainingSample] = []

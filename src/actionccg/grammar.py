@@ -24,6 +24,7 @@ from functools import cached_property
 
 from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
                      SourceSyntaxError)
+from .syntax import MAX_DEPTH
 from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term, Var,
                     And, all_names, beta_reduce, canonical, free_vars,
                     fresh_name, substitute)
@@ -78,8 +79,10 @@ def parse_category(text: str) -> Category:
     """Parse ``N``, ``NP``, ``AP`` and slash combinations thereof.
 
     Slashes associate to the left, so ``AP\\NP/NP`` equals ``(AP\\NP)/NP``.
+    A category may nest at most ``MAX_DEPTH`` levels, each slash and each
+    pair of parentheses on its deepest path counting one.
     """
-    cat, pos = _category(text, 0)
+    cat, _, pos = _category(text, 0, 1)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise SourceSyntaxError(f"trailing input {text[pos]!r}", offset=pos)
@@ -92,28 +95,41 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _category(text: str, pos: int) -> tuple[Category, int]:
-    cat, pos = _category_part(text, pos)
+def _bounded(height: int, pos: int) -> int:
+    if height > MAX_DEPTH:
+        raise SourceSyntaxError(
+            f"category nested deeper than {MAX_DEPTH} levels", offset=pos)
+    return height
+
+
+# Like the term parser, each parser below takes the nesting depth it starts
+# at and returns the category with its height, so that recursion stops at
+# MAX_DEPTH and a long slash chain, parsed by a loop, is caught by its height.
+
+def _category(text: str, pos: int, depth: int) -> tuple[Category, int, int]:
+    cat, height, pos = _category_part(text, pos, depth)
     while True:
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] in "/\\":
             slash = text[pos]
-            arg, pos = _category_part(text, pos + 1)
+            arg, arg_height, pos = _category_part(text, pos + 1, depth + 1)
             cat = Forward(cat, arg) if slash == "/" else Backward(cat, arg)
+            height = _bounded(max(height, arg_height) + 1, pos)
         else:
-            return cat, pos
+            return cat, height, pos
 
 
-def _category_part(text: str, pos: int) -> tuple[Category, int]:
+def _category_part(text: str, pos: int, depth: int) -> tuple[Category, int, int]:
     pos = _skip_ws(text, pos)
+    _bounded(depth, pos)
     if pos >= len(text):
         raise SourceSyntaxError("unexpected end of category", offset=pos)
     if text[pos] == "(":
-        cat, pos = _category(text, pos + 1)
+        cat, height, pos = _category(text, pos + 1, depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ")":
             raise SourceSyntaxError("unbalanced parenthesis", offset=pos)
-        return cat, pos + 1
+        return cat, _bounded(height + 1, pos), pos + 1
     end = pos
     while end < len(text) and text[end].isalpha():
         end += 1
@@ -121,7 +137,7 @@ def _category_part(text: str, pos: int) -> tuple[Category, int]:
     if name not in ATOMIC_CATEGORIES:
         raise SourceSyntaxError(
             f"unknown category atom {name or text[pos]!r}", offset=pos)
-    return Atom(name), end
+    return Atom(name), 1, end
 
 
 @dataclass(frozen=True)
@@ -230,8 +246,7 @@ def unary_project(category: Category, semantics: Term):
     return None
 
 
-def combine(left: tuple[Category, Term], right: tuple[Category, Term],
-            budget: int | None = None):
+def combine(left: tuple[Category, Term], right: tuple[Category, Term]):
     """Binary combination of adjacent items, or None when no rule fires.
 
     At most one rule can apply to an ordered pair: a category can never
@@ -240,15 +255,15 @@ def combine(left: tuple[Category, Term], right: tuple[Category, Term],
     """
     (lcat, lsem), (rcat, rsem) = left, right
     if isinstance(lcat, Forward) and lcat.arg == rcat:
-        return lcat.result, apply_argument(lsem, rsem, budget)
+        return lcat.result, apply_argument(lsem, rsem)
     if isinstance(rcat, Backward) and rcat.arg == lcat:
-        return rcat.result, apply_argument(rsem, lsem, budget)
+        return rcat.result, apply_argument(rsem, lsem)
     if isinstance(lcat, Backward) and lcat.arg == rcat:
-        return lcat.result, apply_argument(lsem, rsem, budget)
+        return lcat.result, apply_argument(lsem, rsem)
     return None
 
 
-def apply_argument(fun: Term, arg: Term, budget: int | None = None) -> Term:
+def apply_argument(fun: Term, arg: Term) -> Term:
     """Feed one syntactic argument to a function term.
 
     The innermost pending binder receives the argument; earlier binders
@@ -257,33 +272,32 @@ def apply_argument(fun: Term, arg: Term, budget: int | None = None) -> Term:
     hoisted as described in the module docstring.  The result is in
     beta-normal form.
     """
-    kwargs = {} if budget is None else {"budget": budget}
     if isinstance(fun, (Forall, Exists)):
-        return _under_binder(fun, arg, apply_argument, budget)
+        return _under_binder(fun, arg, apply_argument)
     if isinstance(arg, (Forall, Exists)):
-        return _hoist_quantifier(fun, arg, budget)
+        return _hoist_quantifier(fun, arg)
     if isinstance(fun, Lam) and isinstance(fun.body, Lam):
-        return _under_binder(fun, arg, apply_argument, budget)
-    return beta_reduce(App(fun, arg), **kwargs)
+        return _under_binder(fun, arg, apply_argument)
+    return beta_reduce(App(fun, arg))
 
 
-def _under_binder(binder: Binder, outside: Term, inner, *extra) -> Term:
-    """``binder`` over ``inner(body, outside, *extra)``, its variable first
-    renamed away from the free variables of ``outside``."""
+def _under_binder(binder: Binder, outside: Term, inner) -> Term:
+    """``binder`` over ``inner(body, outside)``, its variable first renamed
+    away from the free variables of ``outside``."""
     name, body = binder.binds, binder.body
     taken = free_vars(outside)
     if name in taken:
         renamed = fresh_name(name, taken | all_names(body))
         body = substitute(body, name, Var(renamed))
         name = renamed
-    return binder.rebind(name, inner(body, outside, *extra))
+    return binder.rebind(name, inner(body, outside))
 
 
-def _hoist_quantifier(fun: Term, arg: Term, budget: int | None) -> Term:
+def _hoist_quantifier(fun: Term, arg: Term) -> Term:
     var = fresh_name(arg.var, free_vars(arg.body) | all_names(fun))
     restrictor = (arg.body if var == arg.var
                   else substitute(arg.body, arg.var, Var(var)))
-    core = apply_argument(fun, Var(var), budget)
+    core = apply_argument(fun, Var(var))
     return type(arg)(var, _push_restrictor(core, restrictor))
 
 

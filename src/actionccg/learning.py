@@ -26,7 +26,7 @@ from .terms import Const, Lam, Term, alpha_eq, canonical, inverse_lambda
 
 OBJECT_TOKEN_RE = re.compile(r"object_[0-9]+\Z", re.IGNORECASE)
 ACTION_CATEGORY = Forward(Backward(AP, NP), NP)
-DEFAULT_UNKNOWN_WEIGHT = -1.0
+UNKNOWN_WEIGHT = -1.0
 
 
 @dataclass(frozen=True)
@@ -48,30 +48,25 @@ class TrainConfig:
     iterations: int = 100
     learning_rate: float = 0.1
     l2: float = 0.0
-    step_budget: int = 10_000
 
     def __post_init__(self):
         if self.iterations < 0:
             raise InvalidConfigError(
                 f"iterations must be at least 0, got {self.iterations}")
-        if self.step_budget < 1:
-            raise InvalidConfigError(
-                f"step_budget must be at least 1, got {self.step_budget}")
         for name in ("learning_rate", "l2"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfigError(
                     f"{name} must be finite, got {getattr(self, name)!r}")
 
 
-def inject_templates(tokens, lexicon: Lexicon,
-                     unknown_weight: float = DEFAULT_UNKNOWN_WEIGHT) -> Lexicon:
+def inject_templates(tokens, lexicon: Lexicon) -> Lexicon:
     """Cover unknown tokens with fallback entries.
 
     Segment identifiers such as ``Object_007`` become nouns denoting a
     fresh constant; any other unknown token is assumed to name an action
-    and receives a two-argument entry with no stated consequence, at a
-    penalty weight so known entries win when both apply.  Running the
-    injection twice adds nothing new.
+    and receives a two-argument entry with no stated consequence, at the
+    penalty weight ``UNKNOWN_WEIGHT`` so known entries win when both
+    apply.  Running the injection twice adds nothing new.
     """
     fresh = []
     for token in dict.fromkeys(tokens):
@@ -83,7 +78,7 @@ def inject_templates(tokens, lexicon: Lexicon,
         else:
             semantics = parse_term(f"\\x.\\y.{token.lower()}(x,y)")
             fresh.append(LexEntry(token, ACTION_CATEGORY, semantics,
-                                  unknown_weight, "template"))
+                                  UNKNOWN_WEIGHT, "template"))
     return lexicon.with_entries(fresh) if fresh else lexicon
 
 
@@ -133,12 +128,12 @@ def induce_corpus_entries(corpus, lexicon: Lexicon) -> Lexicon:
     return lexicon
 
 
-def _prepare(corpus, lexicon: Lexicon, budget: int | None = None):
+def _prepare(corpus, lexicon: Lexicon):
     """Parse each sample once; charts do not depend on weights."""
     prepared = []
     for sample in corpus:
         try:
-            derivations = parse_all(sample.tokens, lexicon, budget)
+            derivations = parse_all(sample.tokens, lexicon)
         except (UnknownTokenError, NoParseError) as exc:
             warnings.warn(f"skipping {' '.join(sample.tokens)}: {exc}",
                           SkippedSampleWarning, stacklevel=3)
@@ -155,20 +150,20 @@ def _prepare(corpus, lexicon: Lexicon, budget: int | None = None):
     return prepared
 
 
-def _log_mass(rows, theta) -> tuple[float, float]:
-    """(log sum over all derivations, log sum over matching ones)."""
-    scores = [sum(theta[k] * c for k, c in counts.items()) for counts, _ in rows]
-    gold_scores = [s for s, (_, gold) in zip(scores, rows) if gold]
-    return log_norm(scores), log_norm(gold_scores)
+def _scores(rows, theta) -> list[float]:
+    """Summed entry weights of each derivation; ``theta`` holds every key
+    of the lexicon the rows were parsed with."""
+    return [sum(theta[k] * c for k, c in counts.items()) for counts, _ in rows]
 
 
-def log_likelihood(corpus, lexicon: Lexicon, budget: int | None = None) -> float:
+def log_likelihood(corpus, lexicon: Lexicon) -> float:
     """Sum over samples of log P(annotation | tokens); skips unusable ones."""
-    theta = defaultdict(float, {e.key: e.weight for e in lexicon})
+    theta = {e.key: e.weight for e in lexicon}
     total = 0.0
-    for rows in _prepare(corpus, lexicon, budget):
-        all_mass, gold_mass = _log_mass(rows, theta)
-        total += gold_mass - all_mass
+    for rows in _prepare(corpus, lexicon):
+        scores = _scores(rows, theta)
+        gold_scores = [s for s, (_, gold) in zip(scores, rows) if gold]
+        total += log_norm(gold_scores) - log_norm(scores)
     return total
 
 
@@ -182,7 +177,7 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
     NonFiniteWeightError, naming the iteration, as soon as a weight turns
     infinite or NaN.
     """
-    prepared = _prepare(corpus, lexicon, config.step_budget)
+    prepared = _prepare(corpus, lexicon)
     if not prepared:
         raise DegenerateCorpusError("no training sample could be parsed "
                                     "to its annotation")
@@ -190,8 +185,7 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
     for iteration in range(1, config.iterations + 1):
         grad = defaultdict(float)
         for rows in prepared:
-            scores = [sum(theta.get(k, 0.0) * c for k, c in counts.items())
-                      for counts, _ in rows]
+            scores = _scores(rows, theta)
             _accumulate(grad, rows, scores, gold_only=True, sign=1.0)
             _accumulate(grad, rows, scores, gold_only=False, sign=-1.0)
         for key, weight in theta.items():

@@ -9,6 +9,7 @@ import pytest
 
 from actionccg import cli
 from actionccg.corpus import data_path, load_corpus, load_lexicon
+from actionccg.syntax import MAX_DEPTH
 
 # stdout of the shipped-data commands, recorded with the benchmark
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
@@ -274,6 +275,15 @@ class TestGenCorpusCommand:
         assert code == 0
         assert "(16 samples)" in out
 
+    @pytest.mark.parametrize("replicas", ["-1", "0"])
+    def test_fewer_than_one_replica_is_one_diagnostic_line(self, capsys,
+                                                           tmp_path, replicas):
+        out_path = tmp_path / "empty.corpus"
+        code, out, err = run(capsys, "gen-corpus", "--out", str(out_path),
+                             "--replicas", replicas)
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == f"error: replicas must be at least 1, got {replicas}\n"
+
 
 class TestErrorPaths:
     def test_missing_file_is_one_diagnostic_line(self, capsys, tmp_path):
@@ -360,6 +370,36 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "nested deeper than" in err
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+    @pytest.mark.parametrize("deep", [
+        lambda depth: "(" * (depth - 1) + "N" + ")" * (depth - 1),
+        lambda depth: "/".join(["N"] * depth)], ids=["parentheses", "slashes"])
+    def test_deeply_nested_category_is_one_diagnostic_line(self, capsys,
+                                                           tmp_path, deep,
+                                                           depth):
+        path = tmp_path / "deep.lex"
+        path.write_text(data_path("basic.lex").read_text(encoding="utf-8")
+                        + f"Spoon := {deep(depth)} : spoon\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "Knife Cut Cucumber")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"category nested deeper than {MAX_DEPTH} levels" in err
+
+    def test_divergent_parse_stops_at_the_step_budget(self, capsys, tmp_path):
+        # both entries are normal forms; only applying Cut to Cup diverges
+        path = tmp_path / "omega.lex"
+        path.write_text("Knife := N : knife\n"
+                        "Cup := N : \\z.z z\n"
+                        "Cut := (AP\\NP)/NP : \\x.\\y.y y\n",
+                        encoding="utf-8")
+        assert len(load_lexicon(path)) == 3
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "Knife Cut Cup")
+        assert code == 1 and out == ""
+        assert err == "error: no normal form within 10000 steps\n"
 
     def test_variable_shaped_constant_is_one_diagnostic_line(self, capsys,
                                                              tmp_path):

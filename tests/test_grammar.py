@@ -3,12 +3,14 @@
 import pytest
 
 from actionccg import parse_term
+from actionccg.corpus import load_lexicon
 from actionccg.errors import (DuplicateEntryWarning, NonFiniteWeightError,
                               SourceSyntaxError)
 from actionccg.grammar import (AP, GOAL_CATEGORY, N, NP, Atom, Backward,
                                Forward, LexEntry, Lexicon, apply_argument,
                                combine, parse_category, render_category,
                                unary_project)
+from actionccg.syntax import MAX_DEPTH
 from actionccg.terms import Lam, alpha_eq, is_beta_normal
 
 
@@ -48,6 +50,29 @@ class TestCategories:
     def test_trailing_junk_rejected(self):
         with pytest.raises(SourceSyntaxError):
             parse_category("NP)")
+
+
+# Categories nested ``depth`` levels deep, one for each way of nesting.
+CATEGORY_NESTINGS = {
+    "parentheses": lambda depth: "(" * (depth - 1) + "N" + ")" * (depth - 1),
+    "slashes": lambda depth: "/".join(["N"] * depth),
+}
+
+
+class TestCategoryDepth:
+    @pytest.mark.parametrize("shape", sorted(CATEGORY_NESTINGS))
+    def test_deepest_category_loads(self, shape, tmp_path):
+        path = tmp_path / "deep.lex"
+        path.write_text(f"Spoon := {CATEGORY_NESTINGS[shape](MAX_DEPTH)} "
+                        f": spoon\n", encoding="utf-8")
+        (entry,) = load_lexicon(path)
+        # called from well inside the stack, as the chart calls them
+        def nested(levels):
+            if levels:
+                return nested(levels - 1)
+            return entry.key, render_category(entry.category), hash(entry)
+        key, rendered, _ = nested(200)
+        assert key == ("Spoon", rendered, "spoon")
 
 
 class TestCombine:

@@ -234,14 +234,14 @@ class TestTrain:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("settings", [
-        {"iterations": -1}, {"step_budget": 0}, {"learning_rate": math.inf},
+        {"iterations": -1}, {"learning_rate": math.inf},
         {"learning_rate": math.nan}, {"l2": math.inf}, {"l2": -math.inf}])
     def test_out_of_range_settings_rejected(self, settings):
         with pytest.raises(InvalidConfigError):
             TrainConfig(**settings)
 
     def test_edge_settings_accepted(self):
-        TrainConfig(iterations=0, step_budget=1, learning_rate=-1.0, l2=-1.0)
+        TrainConfig(iterations=0, learning_rate=-1.0, l2=-1.0)
 
     def test_divergent_training_stops_at_the_first_non_finite_weight(self):
         corpus = [sample("spoon stirring bucket", "stirring(spoon,bucket)")]
