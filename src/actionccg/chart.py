@@ -1,18 +1,17 @@
 """CKY chart parsing and log-linear scoring of derivations.
 
-Cells hold packed items keyed by (category, logical form up to renaming,
-lexical feature counts); distinct subtrees behind one item survive as
-backpointers, so enumeration recovers every derivation.  Sentences are
-short detector triplets, which keeps exact enumeration cheap, and all
-probabilities are computed from the full derivation list rather than by
-any dynamic-program approximation.
+Each cell lists every derivation of its span, a binary one built from one
+derivation of each of two adjacent cells.  Sentences are short detector
+triplets, so cells stay small, and all probabilities are computed from
+the full derivation list rather than by any dynamic-program
+approximation.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoParseError, UnknownTokenError
 from .grammar import (GOAL_CATEGORY, Category, LexEntry, Lexicon, combine,
@@ -80,20 +79,15 @@ class ParseResult:
     derivations: tuple[Derivation, ...]
 
 
-@dataclass(eq=False)
-class _Item:
-    category: Category
-    semantics: Term
-    counts: tuple  # the entry keys of its leaves, sorted
-    span: tuple[int, int]
-    backs: list = field(default_factory=list)
-
-
 def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
     """Every full-span derivation of the goal category, in chart order.
 
+    Chart order is CKY creation order: a cell lists its binary derivations
+    by split point, then left, then right sub-derivation, and then the
+    unary promotions of its derivations in that same order.
+
     Raises UnknownTokenError when a token has no entry and NoParseError
-    when the chart holds no goal item over the whole span.
+    when the chart holds no goal derivation over the whole span.
     """
     tokens = list(tokens)
     if not tokens:
@@ -103,74 +97,39 @@ def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
         raise UnknownTokenError(unknown)
 
     n = len(tokens)
-    cells: dict[tuple[int, int], dict] = {}
+    cells: dict[tuple[int, int], list[Derivation]] = {}
     for i, token in enumerate(tokens):
-        cell: dict = {}
-        for entry in lexicon.lookup(token):
-            _add(cell, entry.category, entry.semantics, (entry.key,),
-                 (i, i + 1), ("leaf", entry))
-        _close_unary(cell)
-        cells[(i, i + 1)] = cell
+        span = (i, i + 1)
+        cells[span] = _close_unary([
+            Derivation(entry.category, entry.semantics, span, entry=entry)
+            for entry in lexicon.lookup(token)])
     for width in range(2, n + 1):
         for start in range(0, n - width + 1):
-            end = start + width
-            cell = {}
-            for split in range(start + 1, end):
-                for litem in cells[(start, split)].values():
-                    for ritem in cells[(split, end)].values():
-                        made = combine((litem.category, litem.semantics),
-                                       (ritem.category, ritem.semantics))
-                        if made is None:
-                            continue
-                        counts = tuple(sorted(litem.counts + ritem.counts))
-                        _add(cell, made[0], made[1], counts, (start, end),
-                             ("binary", litem, ritem))
-            _close_unary(cell)
-            cells[(start, end)] = cell
+            span = (start, start + width)
+            cell = []
+            for split in range(start + 1, start + width):
+                for left in cells[(start, split)]:
+                    for right in cells[(split, start + width)]:
+                        made = combine((left.category, left.semantics),
+                                       (right.category, right.semantics))
+                        if made is not None:
+                            cell.append(Derivation(made[0], made[1], span,
+                                                   left=left, right=right))
+            cells[span] = _close_unary(cell)
 
-    roots = [item for item in cells[(0, n)].values()
-             if item.category == GOAL_CATEGORY]
-    derivations = [d for item in roots for d in _enumerate(item)]
+    derivations = [d for d in cells[(0, n)] if d.category == GOAL_CATEGORY]
     if not derivations:
         raise NoParseError(tokens)
     return derivations
 
 
-def _add(cell: dict, category: Category, semantics: Term, counts: tuple,
-         span: tuple[int, int], back) -> None:
-    key = (category, canonical(semantics), counts)
-    item = cell.get(key)
-    if item is None:
-        item = _Item(category, semantics, counts, span)
-        cell[key] = item
-    item.backs.append(back)
-
-
-def _close_unary(cell: dict) -> None:
+def _close_unary(cell: list[Derivation]) -> list[Derivation]:
     # Promotions never chain (NP has no unary rule), so one pass suffices.
-    for item in list(cell.values()):
-        made = unary_project(item.category, item.semantics)
+    for d in list(cell):
+        made = unary_project(d.category, d.semantics)
         if made is not None:
-            _add(cell, made[0], made[1], item.counts, item.span, ("unary", item))
-
-
-def _enumerate(item: _Item) -> list[Derivation]:
-    out: list[Derivation] = []
-    for back in item.backs:
-        if back[0] == "leaf":
-            out.append(Derivation(item.category, item.semantics, item.span,
-                                  entry=back[1]))
-        elif back[0] == "unary":
-            for child in _enumerate(back[1]):
-                out.append(Derivation(item.category, item.semantics, item.span,
-                                      child=child))
-        else:
-            _, litem, ritem = back
-            for left in _enumerate(litem):
-                for right in _enumerate(ritem):
-                    out.append(Derivation(item.category, item.semantics,
-                                          item.span, left=left, right=right))
-    return out
+            cell.append(Derivation(made[0], made[1], d.span, child=d))
+    return cell
 
 
 def exp_mass(scores) -> tuple[float, float]:

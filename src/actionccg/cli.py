@@ -34,6 +34,11 @@ def main(argv=None) -> int:
     except (ActionCCGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # a logical form, say a loaded entry's reduct, too deep to walk
+        print("error: logical form nested too deeply to process",
+              file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,6 @@ from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term, Var,
                     fresh_name, substitute)
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
-GOAL_CATEGORY_NAME = "AP"
 
 
 class Category:
@@ -79,10 +78,12 @@ def parse_category(text: str) -> Category:
     """Parse ``N``, ``NP``, ``AP`` and slash combinations thereof.
 
     Slashes associate to the left, so ``AP\\NP/NP`` equals ``(AP\\NP)/NP``.
-    A category may nest at most ``MAX_DEPTH`` levels, each slash and each
-    pair of parentheses on its deepest path counting one.
+    A category may nest at most ``MAX_DEPTH`` levels, each atom, each slash
+    and each pair of parentheses around anything but a slash on its deepest
+    path counting one.  Parentheses around a slash cost nothing, so every
+    accepted category renders to text that parses back to it.
     """
-    cat, _, pos = _category(text, 0, 1)
+    cat, _, pos, _ = _category(text, 0, 1)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise SourceSyntaxError(f"trailing input {text[pos]!r}", offset=pos)
@@ -103,11 +104,19 @@ def _bounded(height: int, pos: int) -> int:
 
 
 # Like the term parser, each parser below takes the nesting depth it starts
-# at and returns the category with its height, so that recursion stops at
-# MAX_DEPTH and a long slash chain, parsed by a loop, is caught by its height.
+# at and returns the category with its height, so that a long slash chain,
+# parsed by a loop, is caught by its height.  Recursion stops at nesting
+# depth 2 * MAX_DEPTH: a slash adds at most two levels of nesting (its
+# argument position and the parentheses around it) and any other pair of
+# parentheses one, so text nested deeper is higher than MAX_DEPTH, while
+# the rendering of any category MAX_DEPTH high nests less deep.
 
-def _category(text: str, pos: int, depth: int) -> tuple[Category, int, int]:
+def _category(text: str, pos: int,
+              depth: int) -> tuple[Category, int, int, bool]:
+    """The category, its height, the end position, and whether a slash at
+    this level of parentheses built it."""
     cat, height, pos = _category_part(text, pos, depth)
+    slashed = False
     while True:
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] in "/\\":
@@ -115,21 +124,25 @@ def _category(text: str, pos: int, depth: int) -> tuple[Category, int, int]:
             arg, arg_height, pos = _category_part(text, pos + 1, depth + 1)
             cat = Forward(cat, arg) if slash == "/" else Backward(cat, arg)
             height = _bounded(max(height, arg_height) + 1, pos)
+            slashed = True
         else:
-            return cat, height, pos
+            return cat, height, pos, slashed
 
 
 def _category_part(text: str, pos: int, depth: int) -> tuple[Category, int, int]:
     pos = _skip_ws(text, pos)
-    _bounded(depth, pos)
+    if depth > 2 * MAX_DEPTH:
+        _bounded(MAX_DEPTH + 1, pos)
     if pos >= len(text):
         raise SourceSyntaxError("unexpected end of category", offset=pos)
     if text[pos] == "(":
-        cat, height, pos = _category(text, pos + 1, depth + 1)
+        cat, height, pos, slashed = _category(text, pos + 1, depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ")":
             raise SourceSyntaxError("unbalanced parenthesis", offset=pos)
-        return cat, _bounded(height + 1, pos), pos + 1
+        if not slashed:
+            height = _bounded(height + 1, pos)
+        return cat, height, pos + 1
     end = pos
     while end < len(text) and text[end].isalpha():
         end += 1

@@ -374,7 +374,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
     @pytest.mark.parametrize("deep", [
         lambda depth: "(" * (depth - 1) + "N" + ")" * (depth - 1),
-        lambda depth: "/".join(["N"] * depth)], ids=["parentheses", "slashes"])
+        lambda depth: "/".join(["N"] * depth),
+        lambda depth: ("N/(" * (depth // 2) + "N/N" + ")" * (depth // 2)
+                       + "/N" * (depth - depth // 2 - 2))],
+        ids=["parentheses", "slashes", "mixed"])
     def test_deeply_nested_category_is_one_diagnostic_line(self, capsys,
                                                            tmp_path, deep,
                                                            depth):
@@ -387,6 +390,20 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"category nested deeper than {MAX_DEPTH} levels" in err
+
+    def test_too_deep_reduct_is_one_diagnostic_line(self, capsys, tmp_path):
+        # loading reduces Cut's Church-numeral power to 3,125 nested
+        # applications, deeper than any recursive walker can go
+        path = tmp_path / "power.lex"
+        five = r"(\f.\z.f (f (f (f (f z)))))"
+        path.write_text("Knife := N : knife\n"
+                        "Cucumber := N : cucumber\n"
+                        f"Cut := (AP\\NP)/NP : \\x.\\y. {five} {five} "
+                        "(\\w.cut(w,y)) x\n", encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "Knife Cut Cucumber")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_divergent_parse_stops_at_the_step_budget(self, capsys, tmp_path):
         # both entries are normal forms; only applying Cut to Cup diverges

@@ -56,6 +56,9 @@ class TestCategories:
 CATEGORY_NESTINGS = {
     "parentheses": lambda depth: "(" * (depth - 1) + "N" + ")" * (depth - 1),
     "slashes": lambda depth: "/".join(["N"] * depth),
+    # a left chain whose first argument is deeply right-nested
+    "mixed": lambda depth: ("N/(" * (depth // 2) + "N/N" + ")" * (depth // 2)
+                            + "/N" * (depth - depth // 2 - 2)),
 }
 
 
@@ -73,6 +76,7 @@ class TestCategoryDepth:
             return entry.key, render_category(entry.category), hash(entry)
         key, rendered, _ = nested(200)
         assert key == ("Spoon", rendered, "spoon")
+        assert parse_category(rendered) == entry.category
 
 
 class TestCombine:

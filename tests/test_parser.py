@@ -97,6 +97,46 @@ class TestParseAll:
             assert chart == sorted(brute_force_roots(tokens, lexicon))
 
 
+class TestSpuriousAmbiguity:
+    """``Beta`` takes one noun phrase from each side, in either order, so
+    the triplet has two bracketings with one logical form."""
+
+    TOKENS = ["Alpha", "Beta", "Gamma"]
+
+    @staticmethod
+    def lexicon(*betas):
+        beta = parse_category(r"(AP\NP)\NP")
+        return Lexicon([
+            LexEntry("Alpha", NP, parse_term("alpha")),
+            *(LexEntry("Beta", beta, parse_term(sem)) for sem in betas),
+            LexEntry("Gamma", NP, parse_term("gamma")),
+        ])
+
+    def test_one_derivation_per_bracketing(self):
+        derivations = parse_all(self.TOKENS, self.lexicon(r"\x.\y.done"))
+        assert [d.tree() for d in derivations] == [
+            r"[AP [NP 'Alpha'] [AP\NP [(AP\NP)\NP 'Beta'] [NP 'Gamma']]]",
+            r"[AP [AP\NP [NP 'Alpha'] [(AP\NP)\NP 'Beta']] [NP 'Gamma']]",
+        ]
+        assert all(d.semantics == parse_term("done") for d in derivations)
+
+    def test_argmax_keeps_both_bracketings(self):
+        lexicon = self.lexicon(r"\x.\y.done")
+        result = argmax_parse(self.TOKENS, lexicon)
+        assert result.logical_form == parse_term("done")
+        assert result.probability == pytest.approx(1.0, rel=1e-12)
+        assert result.derivations == tuple(parse_all(self.TOKENS, lexicon))
+
+    def test_chart_order_is_split_then_left_then_right(self):
+        # the full-span cell lists the split after Alpha before the split
+        # before Gamma, whatever their logical forms
+        derivations = parse_all(self.TOKENS, self.lexicon(
+            r"\x.\y.done", r"\x.\y.other"))
+        assert [(canonical(d.semantics), d.left.span) for d in derivations] == [
+            ("done", (0, 1)), ("other", (0, 1)),
+            ("done", (0, 2)), ("other", (0, 2))]
+
+
 class TestScoring:
     def ambiguous_lexicon(self, w_cut, w_slice):
         return Lexicon([

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from actionccg.chart import argmax_parse, parse_all, parse_probability
 from actionccg.errors import (ConstantFunctionWarning, NonTerminationError,
                               NoParseError, UnknownTokenError)
-from actionccg.grammar import LexEntry, Lexicon, parse_category
+from actionccg.grammar import (AP, NP, Backward, Forward, LexEntry, Lexicon,
+                               N, parse_category, render_category)
 from actionccg.learning import TrainingSample
 from actionccg.reasoning import (AxiomRule, FactBase, Literal, forward_chain,
                                  parse_axiom)
-from actionccg.syntax import parse_term
+from actionccg.syntax import MAX_DEPTH, parse_term
 from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
                              Not, Or, Pred, Var, alpha_eq, beta_reduce,
                              canonical, free_vars, inverse_lambda, render,
@@ -251,6 +252,28 @@ class TestChartProperties:
         moved = argmax_parse(tokens, shifted)
         assert alpha_eq(plain.logical_form, moved.logical_form)
         assert abs(plain.probability - moved.probability) <= 1e-9
+
+
+@st.composite
+def deep_categories(draw):
+    """A category up to MAX_DEPTH high, grown one slash at a time with the
+    category so far as either side of either slash."""
+    atoms = st.sampled_from((N, NP, AP))
+    cat = draw(atoms)
+    steps = st.tuples(st.booleans(), st.booleans(), atoms)
+    height = draw(st.integers(1, MAX_DEPTH))
+    for as_result, forward, other in draw(
+            st.lists(steps, min_size=height - 1, max_size=height - 1)):
+        result, arg = (cat, other) if as_result else (other, cat)
+        cat = Forward(result, arg) if forward else Backward(result, arg)
+    return cat
+
+
+class TestCategoryProperties:
+    @COMMON
+    @given(deep_categories())
+    def test_rendering_parses_back(self, cat):
+        assert parse_category(render_category(cat)) == cat
 
 
 small_floats = st.floats(min_value=-2, max_value=2, allow_nan=False,
