@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,10 +26,8 @@ from .errors import ArityConflictError, InvalidConfigError, SourceSyntaxError
 from .grammar import LexEntry, Lexicon, parse_category
 from .learning import TrainingSample
 from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
-from .syntax import parse_term, variable_shape_note
-from .terms import Pred, Term, beta_reduce, free_vars, render, replace_constant
-
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .syntax import is_identifier, parse_term, variable_shape_note
+from .terms import Pred, Term, beta_reduce, free_vars, render, rename_constants
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,9 @@ class _ArityAudit:
 
 def _parsed(path, parse_line):
     """``(line number, parse_line(record))`` for each record of ``path``, in
-    order; a SourceSyntaxError from ``parse_line`` gains the path and line."""
+    order; a SourceSyntaxError from ``parse_line`` gains the path and line,
+    and so does a logical form too deeply nested to process (a RecursionError,
+    say from reducing a term whose normal form is deep)."""
     text = Path(path).read_text(encoding="utf-8")
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,6 +89,9 @@ def _parsed(path, parse_line):
             value = parse_line(line)
         except SourceSyntaxError as exc:
             raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
+        except RecursionError:
+            raise SourceSyntaxError("logical form nested too deeply to process",
+                                    line=number, path=str(path)) from None
         yield number, value
 
 
@@ -108,7 +110,7 @@ def _parse_lexicon_line(line: str) -> LexEntry:
     if not sep:
         raise SourceSyntaxError(f"missing ':=' in {line!r}")
     token = token.strip()
-    if not _TOKEN_RE.fullmatch(token):
+    if not is_identifier(token):
         raise SourceSyntaxError(f"bad token {token!r}")
     category_text, sep, term_text = rest.partition(":")
     if not sep:
@@ -219,16 +221,9 @@ def synthesize_corpus(base, objects, replicas: int = 15,
                 out.append(sample)
                 continue
             subject, patient = rng.sample(pool, 2)
-            gold = _swap_pair(sample.gold, subject_tok.lower(), subject,
-                              patient_tok.lower(), patient)
+            # one pass, so a new name equal to an old one is safe; when the
+            # two tokens name one constant, the subject's new name wins
+            gold = rename_constants(sample.gold, {
+                patient_tok.lower(): patient, subject_tok.lower(): subject})
             out.append(TrainingSample((subject, action_tok, patient), gold))
     return out
-
-
-def _swap_pair(term: Term, old_subject: str, new_subject: str,
-               old_patient: str, new_patient: str) -> Term:
-    # two-phase rename so a new name colliding with an old one is safe
-    term = replace_constant(term, old_subject, "tmp_subject_slot")
-    term = replace_constant(term, old_patient, "tmp_patient_slot")
-    term = replace_constant(term, "tmp_subject_slot", new_subject)
-    return replace_constant(term, "tmp_patient_slot", new_patient)

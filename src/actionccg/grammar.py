@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
                      SourceSyntaxError)
-from .syntax import MAX_DEPTH
+from .syntax import MAX_DEPTH, Tokens, check_depth
 from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term, Var,
                     And, all_names, beta_reduce, canonical, free_vars,
                     fresh_name, substitute)
@@ -83,24 +83,10 @@ def parse_category(text: str) -> Category:
     path counting one.  Parentheses around a slash cost nothing, so every
     accepted category renders to text that parses back to it.
     """
-    cat, _, pos, _ = _category(text, 0, 1)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise SourceSyntaxError(f"trailing input {text[pos]!r}", offset=pos)
+    toks = Tokens(text)
+    cat, _, _ = _category(toks, 1)
+    toks.expect_end()
     return cat
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _bounded(height: int, pos: int) -> int:
-    if height > MAX_DEPTH:
-        raise SourceSyntaxError(
-            f"category nested deeper than {MAX_DEPTH} levels", offset=pos)
-    return height
 
 
 # Like the term parser, each parser below takes the nesting depth it starts
@@ -109,48 +95,41 @@ def _bounded(height: int, pos: int) -> int:
 # depth 2 * MAX_DEPTH: a slash adds at most two levels of nesting (its
 # argument position and the parentheses around it) and any other pair of
 # parentheses one, so text nested deeper is higher than MAX_DEPTH, while
-# the rendering of any category MAX_DEPTH high nests less deep.
+# the rendering of any category MAX_DEPTH high nests less deep.  The slash
+# tokens are SLASH (``/``) and LAMBDA (``\``).
 
-def _category(text: str, pos: int,
-              depth: int) -> tuple[Category, int, int, bool]:
-    """The category, its height, the end position, and whether a slash at
-    this level of parentheses built it."""
-    cat, height, pos = _category_part(text, pos, depth)
+def _category(toks: Tokens, depth: int) -> tuple[Category, int, bool]:
+    """The category, its height, and whether a slash at this level of
+    parentheses built it."""
+    cat, height, _ = _category_part(toks, depth)
     slashed = False
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos < len(text) and text[pos] in "/\\":
-            slash = text[pos]
-            arg, arg_height, pos = _category_part(text, pos + 1, depth + 1)
-            cat = Forward(cat, arg) if slash == "/" else Backward(cat, arg)
-            height = _bounded(max(height, arg_height) + 1, pos)
-            slashed = True
-        else:
-            return cat, height, pos, slashed
+    while toks.peek()[0] in ("SLASH", "LAMBDA"):
+        slash = toks.next()[1]
+        arg, arg_height, end = _category_part(toks, depth + 1)
+        cat = Forward(cat, arg) if slash == "/" else Backward(cat, arg)
+        height = check_depth(max(height, arg_height) + 1, end, "category")
+        slashed = True
+    return cat, height, slashed
 
 
-def _category_part(text: str, pos: int, depth: int) -> tuple[Category, int, int]:
-    pos = _skip_ws(text, pos)
+def _category_part(toks: Tokens, depth: int) -> tuple[Category, int, int]:
+    """The category, its height, and the offset just past it."""
+    kind, value, pos = toks.next()
     if depth > 2 * MAX_DEPTH:
-        _bounded(MAX_DEPTH + 1, pos)
-    if pos >= len(text):
+        check_depth(MAX_DEPTH + 1, pos, "category")
+    if kind == "EOF":
         raise SourceSyntaxError("unexpected end of category", offset=pos)
-    if text[pos] == "(":
-        cat, height, pos, slashed = _category(text, pos + 1, depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
+    if kind == "LPAR":
+        cat, height, slashed = _category(toks, depth + 1)
+        kind, _, pos = toks.next()
+        if kind != "RPAR":
             raise SourceSyntaxError("unbalanced parenthesis", offset=pos)
         if not slashed:
-            height = _bounded(height + 1, pos)
+            height = check_depth(height + 1, pos, "category")
         return cat, height, pos + 1
-    end = pos
-    while end < len(text) and text[end].isalpha():
-        end += 1
-    name = text[pos:end]
-    if name not in ATOMIC_CATEGORIES:
-        raise SourceSyntaxError(
-            f"unknown category atom {name or text[pos]!r}", offset=pos)
-    return Atom(name), 1, end
+    if value not in ATOMIC_CATEGORIES:
+        raise SourceSyntaxError(f"unknown category atom {value!r}", offset=pos)
+    return Atom(value), 1, pos + len(value)
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,10 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
     updated weights; everything else is untouched.  Raises
     NonFiniteWeightError, naming the iteration, as soon as a weight turns
     infinite or NaN.
+
+    ``config.iterations`` caps the passes: training stops early after a
+    pass that leaves every weight bit for bit unchanged (``-0.0`` to
+    ``0.0`` is a change), since every later pass would repeat it exactly.
     """
     prepared = _prepare(corpus, lexicon)
     if not prepared:
@@ -188,14 +192,18 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
             scores = _scores(rows, theta)
             _accumulate(grad, rows, scores, gold_only=True, sign=1.0)
             _accumulate(grad, rows, scores, gold_only=False, sign=-1.0)
+        moved = False
         for key, weight in theta.items():
-            weight += config.learning_rate * (grad[key] - config.l2 * weight)
-            if not math.isfinite(weight):
+            new = weight + config.learning_rate * (grad[key] - config.l2 * weight)
+            if not math.isfinite(new):
                 token, category, semantics = key
                 raise NonFiniteWeightError(
-                    f"non-finite weight {weight!r} for {token} := {category} "
+                    f"non-finite weight {new!r} for {token} := {category} "
                     f": {semantics} at training iteration {iteration}")
-            theta[key] = weight
+            moved = moved or new.hex() != float(weight).hex()
+            theta[key] = new
+        if not moved:
+            break
     return lexicon.with_weights(theta)
 
 

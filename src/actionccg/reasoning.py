@@ -19,16 +19,13 @@ from typing import Callable, NamedTuple
 
 from .errors import (BudgetExceededError, MalformedEventError,
                      RangeRestrictionError, SourceSyntaxError)
-from .syntax import variable_shape_note
+from .syntax import IDENT, is_identifier, variable_shape_note
 from .terms import And, Const, Implies, Not, Pred, Term, Var
 
 MAX_DERIVED = 100_000
 
-_LITERAL_RE = re.compile(
-    r"\s*(!?)\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*\Z")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_AXIOM_RE = re.compile(
-    r"\s*axiom\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*?)\s*=>\s*(.*?)\s*\Z")
+_LITERAL_RE = re.compile(rf"\s*(!?)\s*({IDENT})\s*\(([^()]*)\)\s*\Z")
+_AXIOM_RE = re.compile(rf"\s*axiom\s+({IDENT})\s*:\s*(.*?)\s*=>\s*(.*?)\s*\Z")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def parse_literal(text: str, *, allow_negation: bool = True,
     if not args:
         raise SourceSyntaxError(f"literal {name!r} has no arguments", offset=0)
     for arg in args:
-        if not _NAME_RE.fullmatch(arg):
+        if not is_identifier(arg):
             raise SourceSyntaxError(f"malformed argument {arg!r}", offset=0)
         if not allow_variables and is_rule_variable(arg):
             raise SourceSyntaxError(

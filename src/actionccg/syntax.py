@@ -18,6 +18,8 @@ is a single letter with an optional digit suffix (``x``, ``f``, ``x1``);
 anything longer is a constant.  ``name(args)`` builds a predication
 unless ``name`` is bound, in which case it builds an application spine
 so that reduction can substitute the functor.
+
+``Tokens`` lexes terms, and categories for ``grammar`` too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ from .errors import SourceSyntaxError
 from .terms import (And, App, Const, Exists, Forall, Implies, Lam, Not, Or,
                     Pred, Term, Var)
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT)
+# One token per match, after any whitespace: the group that matched names
+# its kind.  EOF matches only at the end; BAD is any other character.
+_SCAN_RE = re.compile(rf"""\s*(?:
+    (?P<IDENT>{IDENT}) | (?P<ARROW>->) | (?P<LAMBDA>\\) | (?P<SLASH>/)
+  | (?P<DOT>\.) | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<COMMA>,) | (?P<AND>&)
+  | (?P<OR>\|) | (?P<NOT>!) | (?P<EOF>\Z) | (?P<BAD>.))""",
+                      re.VERBOSE | re.DOTALL)
 _VAR_SHAPE_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _KEYWORDS = ("forall", "exists")
 # Deepest nesting a term may have.  The parser spends up to six stack
@@ -53,36 +63,28 @@ def variable_shape_note(names) -> str:
             "as a variable, so a constant needs a longer name)")
 
 
-class _Tokens:
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` is one identifier, the name rule of every format."""
+    return _IDENT_RE.fullmatch(text) is not None
+
+
+class Tokens:
+    """The ``(kind, text, offset)`` tokens of a term or a category, ending
+    in ``("EOF", "", len(text))``; a character no token starts with is a
+    SourceSyntaxError.  ``forall`` and ``exists`` are keyword tokens."""
+
     def __init__(self, text: str):
-        self.text = text
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        n = len(text)
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if text.startswith("->", pos):
-                self.items.append(("ARROW", "->", pos))
-                pos += 2
-                continue
-            if ch in "\\.(),&|!":
-                kind = {"\\": "LAMBDA", ".": "DOT", "(": "LPAR", ")": "RPAR",
-                        ",": "COMMA", "&": "AND", "|": "OR", "!": "NOT"}[ch]
-                self.items.append((kind, ch, pos))
-                pos += 1
-                continue
-            m = _IDENT_RE.match(text, pos)
-            if m:
-                word = m.group(0)
-                kind = word.upper() if word in _KEYWORDS else "IDENT"
-                self.items.append((kind, word, pos))
-                pos = m.end()
-                continue
-            raise SourceSyntaxError(f"unexpected character {ch!r}", offset=pos)
-        self.items.append(("EOF", "", n))
+        kind, pos = "", 0
+        while kind != "EOF":
+            m = _SCAN_RE.match(text, pos)
+            kind, pos = m.lastgroup, m.end()
+            word, offset = m[kind], m.start(kind)
+            if kind == "BAD":
+                raise SourceSyntaxError(f"unexpected character {word!r}",
+                                        offset=offset)
+            self.items.append((word.upper() if word in _KEYWORDS else kind,
+                               word, offset))
         self.i = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -101,6 +103,11 @@ class _Tokens:
                 offset=item[2])
         return item
 
+    def expect_end(self) -> None:
+        kind, value, pos = self.peek()
+        if kind != "EOF":
+            raise SourceSyntaxError(f"trailing input {value!r}", offset=pos)
+
 
 def parse_term(text: str) -> Term:
     """Parse one logical form; raises SourceSyntaxError with an offset.
@@ -108,28 +115,29 @@ def parse_term(text: str) -> Term:
     A term may nest at most ``MAX_DEPTH`` levels, each node and each pair
     of parentheses on its deepest path counting one.
     """
-    toks = _Tokens(text)
+    toks = Tokens(text)
     term, height = _term(toks, frozenset(), 1)
-    kind, value, pos = toks.peek()
-    if kind != "EOF":
-        raise SourceSyntaxError(f"trailing input {value!r}", offset=pos)
-    _check_depth(height, 0)
+    toks.expect_end()
+    check_depth(height, 0)
     return term
 
 
-def _check_depth(depth: int, offset: int) -> None:
+def check_depth(depth: int, offset: int, what: str = "term") -> int:
+    """``depth``, or a SourceSyntaxError naming ``what`` when it is deeper
+    than ``MAX_DEPTH``."""
     if depth > MAX_DEPTH:
         raise SourceSyntaxError(
-            f"term nested deeper than {MAX_DEPTH} levels", offset=offset)
+            f"{what} nested deeper than {MAX_DEPTH} levels", offset=offset)
+    return depth
 
 
 # Each parser below takes the nesting depth it starts at and returns the
 # term with its height, so that recursion stops at MAX_DEPTH and a long
 # chain of operators, parsed by a loop, is caught by its height.
 
-def _term(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+def _term(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     kind, _, pos = toks.peek()
-    _check_depth(depth, pos)
+    check_depth(depth, pos)
     if kind == "LAMBDA":
         toks.next()
         _, name, _ = toks.expect("IDENT")
@@ -151,7 +159,7 @@ def _term(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     return left, height
 
 
-def _or(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+def _or(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     term, height = _and(toks, bound, depth)
     while toks.peek()[0] == "OR":
         toks.next()
@@ -160,7 +168,7 @@ def _or(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     return term, height
 
 
-def _and(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+def _and(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     term, height = _not(toks, bound, depth)
     while toks.peek()[0] == "AND":
         toks.next()
@@ -169,9 +177,9 @@ def _and(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     return term, height
 
 
-def _not(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+def _not(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     kind, _, pos = toks.peek()
-    _check_depth(depth, pos)
+    check_depth(depth, pos)
     if kind == "NOT":
         toks.next()
         body, height = _not(toks, bound, depth + 1)
@@ -179,7 +187,7 @@ def _not(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     return _app(toks, bound, depth)
 
 
-def _app(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+def _app(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     term, height = _atom(toks, bound, depth)
     while toks.peek()[0] in ("IDENT", "LPAR"):
         arg, arg_height = _atom(toks, bound, depth + 1)
@@ -187,7 +195,7 @@ def _app(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     return term, height
 
 
-def _atom(toks: _Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
+def _atom(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
     kind, value, pos = toks.next()
     if kind == "LPAR":
         term, height = _term(toks, bound, depth + 1)

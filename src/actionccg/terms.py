@@ -302,11 +302,13 @@ def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 
 
 def canonical(term: Term) -> str:
-    """Rendering with bound variables renumbered in binder order.
+    """Rendering with bound variables renumbered ``^0``, ``^1``, ... in
+    binder order.
 
-    Two terms produce the same canonical string exactly when they are
-    alpha-equivalent, so the string doubles as a dictionary key for
-    grouping derivations by logical form.
+    No identifier starts with ``^``, so the renumbered names never meet a
+    free name, and two terms produce the same canonical string exactly
+    when they are alpha-equivalent: the string doubles as a dictionary key
+    for grouping derivations by logical form.
     """
     return _render(term, _P_BODY, {}, [0])
 
@@ -342,11 +344,12 @@ def _replace(t: Term, target: Term, v: str, bound: frozenset[str]) -> tuple[Term
     return t.remake(kids), total
 
 
-def replace_constant(term: Term, old: str, new: str) -> Term:
-    """Swap every occurrence of constant ``old`` for constant ``new``."""
-    v = fresh_name("swap", all_names(term) | {old, new})
-    replaced, _ = _replace(term, Const(old), v, frozenset())
-    return substitute(replaced, v, Const(new))
+def rename_constants(term: Term, names: dict[str, str]) -> Term:
+    """``term`` with each constant named in ``names`` renamed to its value,
+    all in one pass, so a new name may equal an old one."""
+    if isinstance(term, Const):
+        return Const(names.get(term.name, term.name))
+    return term.remake([rename_constants(kid, names) for kid in term.kids()])
 
 
 # Rendering.  Precedence, loosest first: lambda and quantifier bodies,
@@ -378,7 +381,7 @@ def render(term: Term) -> str:
 def _render(t: Term, ctx: int, env: dict[str, str],
             counter: list[int] | None) -> str:
     """``t`` in context ``ctx``.  ``env`` maps each bound name in scope to
-    its rendering: itself, or with a ``counter`` the next ``_0``, ``_1``,
+    its rendering: itself, or with a ``counter`` the next ``^0``, ``^1``,
     ... in binder order."""
     if isinstance(t, Var):
         return env.get(t.name, t.name)
@@ -405,7 +408,7 @@ def _render(t: Term, ctx: int, env: dict[str, str],
     if isinstance(t, Binder):
         name = t.binds
         if counter is not None:
-            name = f"_{counter[0]}"
+            name = f"^{counter[0]}"
             counter[0] += 1
         body = _render(t.body, contexts[0], {**env, t.binds: name}, counter)
         out = f"{before}{name}{between}{body}"

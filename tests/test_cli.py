@@ -74,6 +74,25 @@ class TestParseCommand:
         assert lines[1] == (r"derivation: [AP [NP [N 'Knife']] "
                             r"[AP\NP [(AP\NP)/NP 'Cut'] [NP [N 'Cucumber']]]]")
 
+    def test_entries_differing_in_an_underscore_constant_stay_apart(
+            self, capsys, tmp_path):
+        # with binders renumbered _0, _1, ... both would read
+        # \_0.\_1.cut(_0,_1) as their key and merge
+        path = tmp_path / "two.lex"
+        path.write_text("Knife := N : knife\n"
+                        "Cucumber := N : cucumber\n"
+                        "Cut := (AP\\NP)/NP : \\x.\\y.cut(x,y)\n"
+                        "Cut := (AP\\NP)/NP : \\x.\\y.cut(_0,y) @ 0.5\n",
+                        encoding="utf-8")
+        assert len(load_lexicon(path)) == 4
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "--all-derivations", "Knife Cut Cucumber")
+        assert code == 0 and err == ""
+        # e^0.5 / (1 + e^0.5) of the mass goes to the second entry's form
+        assert out == ("cut(_0,cucumber)  p=0.622\n"
+                       r"derivation: [AP [NP [N 'Knife']] "
+                       r"[AP\NP [(AP\NP)/NP 'Cut'] [NP [N 'Cucumber']]]]" "\n")
+
     def test_quantified_sentence(self, capsys):
         code, out, _ = run(capsys, "parse",
                            "--lexicon", str(data_path("quantifier.lex")),

@@ -13,7 +13,7 @@ from actionccg.corpus import (data_path, load_axioms, load_corpus, load_gold,
 from actionccg.errors import (ActionCCGError, ArityConflictError,
                               DuplicateEntryWarning, SourceSyntaxError)
 from actionccg.grammar import N, parse_category
-from actionccg.learning import induce_corpus_entries
+from actionccg.learning import TrainingSample, induce_corpus_entries
 from actionccg.terms import Const, canonical, free_vars
 
 
@@ -82,6 +82,20 @@ class TestLoadLexicon:
         with pytest.raises(SourceSyntaxError) as err:
             load_lexicon(write(tmp_path / "wt.lex", text))
         assert "line 2" in str(err.value) and "non-finite" in str(err.value)
+
+    def test_too_deep_reduct_is_a_syntax_error_on_its_line(self, tmp_path):
+        # loading reduces Cut's Church-numeral power to 3,125 nested
+        # applications, deeper than any recursive walker can go
+        five = r"(\f.\z.f (f (f (f (f z)))))"
+        path = write(tmp_path / "power.lex",
+                     "Knife := N : knife\n"
+                     f"Cut := (AP\\NP)/NP : \\x.\\y. {five} {five} "
+                     "(\\w.cut(w,y)) x\n")
+        with pytest.raises(SourceSyntaxError) as err:
+            load_lexicon(path)
+        assert err.value.line == 2
+        assert str(err.value) == (f"{path}, line 2: logical form nested too "
+                                  "deeply to process")
 
     def test_arity_conflict_rejected(self, tmp_path):
         text = ("A := AP : moved(box_one)\n"
@@ -260,6 +274,23 @@ class TestSynthesizeCorpus:
             rendered = canonical(s.gold)
             action = s.tokens[1]
             assert f"{action}({s.tokens[0]},{s.tokens[2]})" in rendered
+
+    def test_constants_named_like_old_placeholders_survive(self):
+        # a rename in several passes through placeholder constants would
+        # overwrite a constant that has a placeholder's name
+        base = [TrainingSample(("cup", "hiding", "ball"), parse_term(
+            "hiding(cup,ball) -> near(tmp_patient_slot,cup)"))]
+        out = synthesize_corpus(base, ["hand", "brush"], replicas=2, seed=0)
+        subject, _, patient = out[1].tokens
+        assert out[1].gold == parse_term(
+            f"hiding({subject},{patient}) -> near(tmp_patient_slot,{subject})")
+
+    def test_subject_wins_when_the_tokens_name_one_constant(self):
+        base = [TrainingSample(("cup", "hiding", "cup"),
+                               parse_term("hiding(cup,cup)"))]
+        out = synthesize_corpus(base, ["hand", "brush"], replicas=2, seed=0)
+        subject = out[1].tokens[0]
+        assert out[1].gold == parse_term(f"hiding({subject},{subject})")
 
     def test_deterministic_for_a_seed(self, table1_samples, seed_lexicon):
         objects = [e.semantics.name for e in seed_lexicon]

@@ -51,6 +51,16 @@ class TestCategories:
         with pytest.raises(SourceSyntaxError):
             parse_category("NP)")
 
+    @pytest.mark.parametrize("text, message", [
+        ("N PP", "trailing input 'PP' (at offset 2)"),
+        ("NP_1", "unknown category atom 'NP_1' (at offset 0)"),
+        ("XP @", "unexpected character '@' (at offset 3)"),
+    ])
+    def test_errors_name_whole_tokens(self, text, message):
+        with pytest.raises(SourceSyntaxError) as err:
+            parse_category(text)
+        assert str(err.value) == message
+
 
 # Categories nested ``depth`` levels deep, one for each way of nesting.
 CATEGORY_NESTINGS = {

@@ -4,8 +4,10 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from actionccg import parse_term
+from actionccg import learning, parse_term
 from actionccg.chart import argmax_parse, parse_all, parse_probability
 from actionccg.errors import (DegenerateCorpusError, InductionFailureError,
                               InvalidConfigError, NonFiniteWeightError,
@@ -14,7 +16,7 @@ from actionccg.grammar import LexEntry, Lexicon, N, parse_category
 from actionccg.learning import (ACTION_CATEGORY, TrainConfig, TrainingSample,
                                 induce_corpus_entries, induce_entries,
                                 inject_templates, log_likelihood, train)
-from actionccg.terms import alpha_eq
+from actionccg.terms import App, Const, alpha_eq, beta_reduce
 
 from oracles import analytic_gradient, numeric_gradient
 
@@ -230,6 +232,67 @@ class TestTrain:
         for key, a in analytic.items():
             n = numeric[key]
             assert abs(a - n) <= 1e-6 * max(1.0, abs(a), abs(n))
+
+
+CUT_SENSES = (r"\x.\y.cut(x,y) -> divided(y)", r"\x.\y.slice(x,y)",
+              r"\x.\y.cut(x,y)")
+WEIGHTS = (-0.0, 0.0, 0.5, -1.25, 2.0)
+
+
+@st.composite
+def ambiguous_training(draw):
+    """A lexicon with one to three senses of ``cut`` and a second sense of
+    ``Spoon``, and rows each annotated with one of its readings."""
+    senses = draw(st.lists(st.sampled_from(CUT_SENSES), min_size=1,
+                           max_size=3, unique=True))
+    lexicon = NOUNS.with_entries(
+        [LexEntry("Spoon", N, parse_term("ladle"))]
+        + [LexEntry("cut", ACTION_CATEGORY, parse_term(sense)) for sense in senses])
+    lexicon = lexicon.with_weights(
+        {e.key: draw(st.sampled_from(WEIGHTS)) for e in lexicon})
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        subject = draw(st.sampled_from(["knife", "spoon", "cup"]))
+        patient = draw(st.sampled_from(["cucumber", "carrot"]))
+        reading = App(App(parse_term(draw(st.sampled_from(senses))),
+                          Const(subject)), Const(patient))
+        rows.append(TrainingSample((subject, "cut", patient), beta_reduce(reading)))
+    return rows, lexicon
+
+
+class TestTrainFixedPoint:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ambiguous_training(), st.integers(0, 6), st.integers(0, 6),
+           st.sampled_from([0.1, 1.0]), st.sampled_from([0.0, 0.5]))
+    def test_training_in_two_runs_equals_one_run(self, training, n, m, lr, l2):
+        corpus, lexicon = training
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SkippedSampleWarning)
+            once = train(corpus, lexicon, TrainConfig(n + m, lr, l2))
+            twice = train(corpus, train(corpus, lexicon, TrainConfig(n, lr, l2)),
+                          TrainConfig(m, lr, l2))
+        assert ([(e.key, float(e.weight).hex()) for e in once]
+                == [(e.key, float(e.weight).hex()) for e in twice])
+
+    @pytest.mark.parametrize("cup_weight, passes", [(0.0, 1), (-0.0, 2)])
+    def test_zero_gradient_stops_at_the_fixed_point(self, monkeypatch,
+                                                    cup_weight, passes):
+        corpus = [sample("spoon stirring bucket", "stirring(spoon,bucket)")]
+        lexicon = NOUNS.with_entries(induce_entries(corpus[0], NOUNS))
+        lexicon = lexicon.with_weights({lexicon.lookup("Cup")[0].key: cup_weight})
+        calls = []
+        accumulate = learning._accumulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "_accumulate", counted)
+        # the gradient is zero, so only the l2 step on -0.0 moves a weight,
+        # to 0.0; the pass after the last change is the last one
+        trained = train(corpus, lexicon, TrainConfig(l2=1.0))
+        assert len(calls) == 2 * passes  # gold pool and full pool per pass
+        assert [float(e.weight).hex() for e in trained] == ["0x0.0p+0"] * len(trained)
 
 
 class TestTrainConfig:

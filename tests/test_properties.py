@@ -24,7 +24,7 @@ from actionccg.syntax import MAX_DEPTH, parse_term
 from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
                              Not, Or, Pred, Var, alpha_eq, beta_reduce,
                              canonical, free_vars, inverse_lambda, render,
-                             substitute)
+                             rename_constants, substitute)
 from oracles import (OracleBudgetError, analytic_gradient, brute_force_roots,
                      db_alpha_eq, db_normal_form, db_subst_free,
                      derivation_signature, naive_chain_atoms,
@@ -141,7 +141,8 @@ class TestTermProperties:
     @COMMON
     @given(lambda_terms())
     def test_alpha_eq_holds_for_renamed_binders(self, term):
-        variant = parse_term(canonical(term))
+        # canonical names its binders ^0, ^1, ...; as _0, _1, ... they parse
+        variant = parse_term(canonical(term).replace("^", "_"))
         assert alpha_eq(term, variant)
         assert db_alpha_eq(term, variant)
         assert canonical(term) == canonical(variant)
@@ -152,6 +153,17 @@ class TestTermProperties:
         verdict = alpha_eq(a, b)
         assert verdict == db_alpha_eq(a, b)
         assert verdict == (canonical(a) == canonical(b))
+
+    @COMMON
+    @given(lambda_terms(env=("x",)), lambda_terms(env=("x",)), st.booleans())
+    def test_canonical_equal_iff_oracle_alpha_equal(self, a, other, twin):
+        # constants spelled like renumbered binders; a twin reads a's
+        # canonical text back with its binders named _0, _1, ..., which
+        # captures a's constants of those names
+        a = rename_constants(a, {"knife_obj": "_0", "bowl_obj": "_1"})
+        b = (parse_term(canonical(a).replace("^", "_")) if twin
+             else rename_constants(other, {"knife_obj": "_0", "bowl_obj": "_1"}))
+        assert (canonical(a) == canonical(b)) == db_alpha_eq(a, b)
 
     @COMMON
     @given(lambda_terms(), st.sampled_from(CONSTS), st.booleans())

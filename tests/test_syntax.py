@@ -124,6 +124,12 @@ class TestErrors:
             parse_term("knife cucumber)")
         assert err.value.offset == 14
 
+    def test_slash_is_a_token_no_term_uses(self):
+        # categories share the lexer, so ``/`` lexes and then fails to parse
+        with pytest.raises(SourceSyntaxError) as err:
+            parse_term("cut/knife")
+        assert str(err.value) == "trailing input '/' (at offset 3)"
+
     def test_missing_dot(self):
         with pytest.raises(SourceSyntaxError):
             parse_term(r"\x cut(x,y)")

@@ -10,7 +10,7 @@ from actionccg.errors import ConstantFunctionWarning, NonTerminationError
 from actionccg.terms import (And, App, Binder, Const, Implies, Lam, Pred,
                              Term, Var, alpha_eq, beta_reduce, canonical,
                              free_vars, fresh_name, inverse_lambda,
-                             is_beta_normal, render, replace_constant,
+                             is_beta_normal, render, rename_constants,
                              substitute)
 from oracles import db_alpha_eq, db_subst_free, to_debruijn
 
@@ -141,7 +141,11 @@ class TestCanonical:
         assert canonical(a) != canonical(c)
 
     def test_binders_numbered_in_order(self):
-        assert canonical(t(r"\x.\y.cut(x,y)")) == r"\_0.\_1.cut(_0,_1)"
+        assert canonical(t(r"\x.\y.cut(x,y)")) == r"\^0.\^1.cut(^0,^1)"
+
+    def test_renumbered_names_never_meet_a_constant(self):
+        # with ``_0`` as the renumbered name both read forall _0.p(_0)
+        assert canonical(t("forall x.p(_0)")) != canonical(t("forall x.p(x)"))
 
     def test_free_names_survive(self):
         assert canonical(t("cut(knife,y)")) == "cut(knife,y)"
@@ -187,13 +191,18 @@ class TestHelpers:
         assert fresh_name("x", {"x", "x1", "x2"}) == "x3"
 
     def test_replace_constant(self):
-        out = replace_constant(t("cut(knife,cucumber) -> divided(cucumber)"),
-                               "cucumber", "tomato")
+        out = rename_constants(t("cut(knife,cucumber) -> divided(cucumber)"),
+                               {"cucumber": "tomato"})
         assert out == t("cut(knife,tomato) -> divided(tomato)")
 
     def test_replace_constant_leaves_variables_alone(self):
-        out = replace_constant(t(r"\x.cut(x,ball)"), "x", "hand")
+        out = rename_constants(t(r"\x.cut(x,ball)"), {"x": "hand", "cut": "hand"})
         assert out == t(r"\x.cut(x,ball)")
+
+    def test_rename_constants_swaps_in_one_pass(self):
+        out = rename_constants(t("hiding(cup,ball) -> contained(cup,ball)"),
+                               {"cup": "ball", "ball": "cup"})
+        assert out == t("hiding(ball,cup) -> contained(ball,cup)")
 
     def test_render_str_shortcut(self):
         form = Implies(And(Pred("p", (Const("a_c"),)), Const("b_c")), Const("c_c"))
