@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parse.add_argument("--lexicon", required=True)
     parse.add_argument("sentence", help="whitespace-separated tokens, quoted")
     parse.add_argument("--all-derivations", action="store_true",
-                       help="also print every derivation tree")
+                       help="also print the chosen logical form's derivations")
     parse.set_defaults(handler=_cmd_parse)
 
     reason = sub.add_parser("reason", help="deduce consequences of a sequence")

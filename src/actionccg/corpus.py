@@ -11,7 +11,8 @@ line holds one record:
 
 Loaders attach the file path and 1-based line number to any error and
 audit predicate arities, rejecting a name used with two different
-argument counts in the same file.
+argument counts in the same file.  Savers write nothing that would not
+load back.
 """
 
 from __future__ import annotations
@@ -51,36 +52,30 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files(__package__).joinpath("data", name)))
 
 
-class _ArityAudit:
-    def __init__(self, path):
-        self.path = path
-        self.seen: dict[str, tuple[int, int]] = {}
-
-    def observe_term(self, term: Term, line: int) -> None:
-        stack = [term]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Pred):
-                self._check(node.name, len(node.args), line)
-            stack.extend(node.kids())
-
-    def observe_literal(self, literal: Literal, line: int) -> None:
-        self._check(literal.predicate, len(literal.args), line)
-
-    def _check(self, name: str, arity: int, line: int) -> None:
-        before = self.seen.setdefault(name, (arity, line))
-        if before[0] != arity:
-            raise ArityConflictError(
-                f"{self.path}, line {line}: predicate {name!r} used with "
-                f"{arity} arguments but with {before[0]} on line {before[1]}")
+def _predicates(term: Term):
+    """``(name, arity)`` of each predication in ``term``."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Pred):
+            yield node.name, len(node.args)
+        stack.extend(node.kids())
 
 
-def _parsed(path, parse_line):
-    """``(line number, parse_line(record))`` for each record of ``path``, in
-    order; a SourceSyntaxError from ``parse_line`` gains the path and line,
-    and so does a logical form too deeply nested to process (a RecursionError,
-    say from reducing a term whose normal form is deep)."""
-    text = Path(path).read_text(encoding="utf-8")
+def _literals(*literals: Literal):
+    return [(literal.predicate, len(literal.args)) for literal in literals]
+
+
+def _parsed(path, parse_line, arities=lambda value: (), text=None):
+    """``parse_line(record)`` for each record of ``path`` (or of ``text``, read
+    as that file), in order; a SourceSyntaxError from ``parse_line`` gains the
+    path and line, and so does a logical form too deeply nested to process (a
+    RecursionError, say from reducing a term whose normal form is deep).
+    ``arities(value)`` names the ``(predicate, arity)`` pairs of a record; a
+    predicate used with two arities in the file raises ArityConflictError."""
+    seen: dict[str, tuple[int, int]] = {}
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,16 +87,31 @@ def _parsed(path, parse_line):
         except RecursionError:
             raise SourceSyntaxError("logical form nested too deeply to process",
                                     line=number, path=str(path)) from None
-        yield number, value
+        for name, arity in arities(value):
+            first, first_line = seen.setdefault(name, (arity, number))
+            if first != arity:
+                raise ArityConflictError(
+                    f"{path}, line {number}: predicate {name!r} used with "
+                    f"{arity} arguments but with {first} on line {first_line}")
+        yield value
+
+
+def _write(path, lines, parse_line, arities) -> None:
+    """Write ``lines`` to ``path`` once they are seen to load back as a file
+    of ``parse_line`` records; if they would not, write nothing and raise a
+    SourceSyntaxError carrying the loader's message."""
+    text = "\n".join(lines) + "\n"
+    try:
+        for _ in _parsed(path, parse_line, arities, text):
+            pass
+    except (SourceSyntaxError, ArityConflictError) as exc:
+        raise SourceSyntaxError(f"not written, would not load back: {exc}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_lexicon(path) -> Lexicon:
     """Read a lexicon; duplicate entries merge with a warning."""
-    audit = _ArityAudit(path)
-    entries = []
-    for number, entry in _parsed(path, _parse_lexicon_line):
-        audit.observe_term(entry.semantics, number)
-        entries.append(entry)
+    entries = list(_parsed(path, *_LEXICON))
     return Lexicon().with_entries(entries, warn_duplicates=True)
 
 
@@ -129,20 +139,19 @@ def _parse_lexicon_line(line: str) -> LexEntry:
     return LexEntry(token, category, semantics, weight)
 
 
+# how a line of the file parses, and which predicates the arity audit reads
+_LEXICON = (_parse_lexicon_line, lambda entry: _predicates(entry.semantics))
+
+
 def save_lexicon(lexicon: Lexicon, path) -> None:
     lines = [f"{e.token} := {e.category} : {render(e.semantics)} @ {e.weight!r}"
              for e in lexicon]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, lines, *_LEXICON)
 
 
 def load_corpus(path) -> list[TrainingSample]:
     """Read annotated triplets; annotations must be closed expressions."""
-    audit = _ArityAudit(path)
-    samples = []
-    for number, sample in _parsed(path, _parse_corpus_line):
-        audit.observe_term(sample.gold, number)
-        samples.append(sample)
-    return samples
+    return list(_parsed(path, *_CORPUS))
 
 
 def _parse_corpus_line(line: str) -> TrainingSample:
@@ -162,14 +171,17 @@ def _parse_corpus_line(line: str) -> TrainingSample:
     return TrainingSample(tokens, gold)
 
 
+_CORPUS = (_parse_corpus_line, lambda sample: _predicates(sample.gold))
+
+
 def save_corpus(samples, path, header: str | None = None) -> None:
     lines = [f"# {header}"] if header else []
     lines += [f"{' '.join(s.tokens)}\t{render(s.gold)}" for s in samples]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, lines, *_CORPUS)
 
 
 def load_sequence(path) -> SequenceFile:
-    triplets = tuple(triplet for _, triplet in _parsed(path, _parse_sequence_line))
+    triplets = tuple(_parsed(path, _parse_sequence_line))
     return SequenceFile(Path(path).stem, triplets)
 
 
@@ -181,23 +193,13 @@ def _parse_sequence_line(line: str) -> tuple[str, str, str]:
 
 
 def load_gold(path) -> GoldConsequences:
-    audit = _ArityAudit(path)
-    literals = []
-    for number, literal in _parsed(path, parse_literal):
-        audit.observe_literal(literal, number)
-        if literal not in literals:
-            literals.append(literal)
+    literals = dict.fromkeys(_parsed(path, parse_literal, _literals))
     return GoldConsequences(Path(path).stem, tuple(literals))
 
 
 def load_axioms(path) -> list[AxiomRule]:
-    audit = _ArityAudit(path)
-    rules = []
-    for number, rule in _parsed(path, parse_axiom):
-        for literal in rule.body + (rule.head,):
-            audit.observe_literal(literal, number)
-        rules.append(rule)
-    return rules
+    return list(_parsed(path, parse_axiom,
+                        lambda rule: _literals(*rule.body, rule.head)))
 
 
 def synthesize_corpus(base, objects, replicas: int = 15,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import (DegenerateCorpusError, InductionFailureError,
                      InvalidConfigError, NoParseError, NonFiniteWeightError,
                      SkippedSampleWarning, UnknownTokenError)
-from .chart import exp_mass, log_norm, parse_all
+from .chart import exp_mass, parse_all
 from .grammar import (AP, Backward, Forward, N, NP, LexEntry, Lexicon,
                       apply_argument)
 from .syntax import parse_term
@@ -150,21 +150,27 @@ def _prepare(corpus, lexicon: Lexicon):
     return prepared
 
 
-def _scores(rows, theta) -> list[float]:
-    """Summed entry weights of each derivation; ``theta`` holds every key
-    of the lexicon the rows were parsed with."""
-    return [sum(theta[k] * c for k, c in counts.items()) for counts, _ in rows]
+def _fit_row(rows, theta, grad=None) -> float:
+    """log P(annotation | tokens) of one parsed sample under ``theta``, which
+    holds every key of the lexicon the rows were parsed with.  Given
+    ``grad``, also adds ``(P(d | annotation) - P(d)) * counts(d)`` for each
+    derivation ``d``: exactly ``+0.0`` when every derivation matches."""
+    scores = [sum(theta[k] * c for k, c in counts.items()) for counts, _ in rows]
+    gold_top, gold_mass = exp_mass([s for s, (_, gold) in zip(scores, rows) if gold])
+    top, mass = exp_mass(scores)
+    if grad is not None:
+        for (counts, gold), s in zip(rows, scores):
+            delta = ((math.exp(s - gold_top) / gold_mass if gold else 0.0)
+                     - math.exp(s - top) / mass)
+            for key, count in counts.items():
+                grad[key] += delta * count
+    return gold_top + math.log(gold_mass) - (top + math.log(mass))
 
 
 def log_likelihood(corpus, lexicon: Lexicon) -> float:
     """Sum over samples of log P(annotation | tokens); skips unusable ones."""
     theta = {e.key: e.weight for e in lexicon}
-    total = 0.0
-    for rows in _prepare(corpus, lexicon):
-        scores = _scores(rows, theta)
-        gold_scores = [s for s, (_, gold) in zip(scores, rows) if gold]
-        total += log_norm(gold_scores) - log_norm(scores)
-    return total
+    return sum(_fit_row(rows, theta) for rows in _prepare(corpus, lexicon))
 
 
 def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexicon:
@@ -185,13 +191,13 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
     if not prepared:
         raise DegenerateCorpusError("no training sample could be parsed "
                                     "to its annotation")
+    # a row whose derivations all match its annotation adds exactly +0.0
+    prepared = [rows for rows in prepared if not all(gold for _, gold in rows)]
     theta = {e.key: e.weight for e in lexicon}
     for iteration in range(1, config.iterations + 1):
         grad = defaultdict(float)
         for rows in prepared:
-            scores = _scores(rows, theta)
-            _accumulate(grad, rows, scores, gold_only=True, sign=1.0)
-            _accumulate(grad, rows, scores, gold_only=False, sign=-1.0)
+            _fit_row(rows, theta, grad)
         moved = False
         for key, weight in theta.items():
             new = weight + config.learning_rate * (grad[key] - config.l2 * weight)
@@ -206,12 +212,3 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
             break
     return lexicon.with_weights(theta)
 
-
-def _accumulate(grad, rows, scores, gold_only: bool, sign: float) -> None:
-    pool = [(counts, s) for (counts, gold), s in zip(rows, scores)
-            if gold or not gold_only]
-    top, norm = exp_mass([s for _, s in pool])
-    for counts, s in pool:
-        p = math.exp(s - top) / norm
-        for key, count in counts.items():
-            grad[key] += sign * p * count

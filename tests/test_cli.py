@@ -11,6 +11,12 @@ from actionccg import cli
 from actionccg.corpus import data_path, load_corpus, load_lexicon
 from actionccg.syntax import MAX_DEPTH
 
+# reduces to a conjunction nested 56 deep on the right, whose rendering
+# needs a pair of parentheses per level and so is deeper than MAX_DEPTH
+RIGHT_NESTED_56 = (r"(\f.\z.f (f (f (f (f (f (f z)))))))"
+                   r" ((\f.\z.f (f (f (f (f (f (f (f z))))))))"
+                   r" (\w.moved(knife) & w)) divided(bread)")
+
 # stdout of the shipped-data commands, recorded with the benchmark
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
@@ -451,6 +457,54 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "o0, o1 (one letter plus optional digits" in err
         assert "a constant needs a longer name" in err
+
+    def test_learned_entry_too_deep_to_reload_is_not_written(self, capsys,
+                                                             tmp_path):
+        # the annotation sits at the depth bound; the learned entry puts two
+        # binders on top of it, so its rendering would not load back
+        seed = tmp_path / "seed.lex"
+        seed.write_text("Knife := N : knife\nBread := N : bread\n",
+                        encoding="utf-8")
+        corpus = tmp_path / "deep.corpus"
+        corpus.write_text("knife cut bread\tcut(knife,bread) -> "
+                          + "!" * 96 + "divided(bread)\n", encoding="utf-8")
+        out_path = tmp_path / "learned.lex"
+        code, out, err = run(capsys, "learn", "--corpus", str(corpus),
+                             "--seed", str(seed), "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == ("error: not written, would not load back: "
+                       f"{out_path}, line 3: term nested deeper than 100 levels "
+                       "(at offset 124)\n")
+
+    def test_learned_entry_in_arity_conflict_with_the_seed_is_not_written(
+            self, capsys, tmp_path):
+        seed = tmp_path / "seed.lex"
+        seed.write_text("Box := N : box\nCup := N : cup\n"
+                        "Still := AP : moved(box)\n", encoding="utf-8")
+        corpus = tmp_path / "push.corpus"
+        corpus.write_text("box push cup\tpush(box,cup) -> moved(box,cup)\n",
+                          encoding="utf-8")
+        out_path = tmp_path / "learned.lex"
+        code, out, err = run(capsys, "learn", "--corpus", str(corpus),
+                             "--seed", str(seed), "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == ("error: not written, would not load back: "
+                       f"{out_path}, line 4: predicate 'moved' used with 2 "
+                       "arguments but with 1 on line 3\n")
+
+    def test_synthetic_sample_too_deep_to_reload_is_not_written(self, capsys,
+                                                                tmp_path):
+        base = tmp_path / "deep.corpus"
+        base.write_text(f"knife cut bread\t{RIGHT_NESTED_56}\n",
+                        encoding="utf-8")
+        out_path = tmp_path / "synthetic.corpus"
+        code, out, err = run(capsys, "gen-corpus", "--base", str(base),
+                             "--replicas", "2", "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        # line 1 is the header comment
+        assert err == ("error: not written, would not load back: "
+                       f"{out_path}, line 2: term nested deeper than 100 levels "
+                       "(at offset 800)\n")
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,9 +12,9 @@ from actionccg.corpus import (data_path, load_axioms, load_corpus, load_gold,
                               save_lexicon, synthesize_corpus)
 from actionccg.errors import (ActionCCGError, ArityConflictError,
                               DuplicateEntryWarning, SourceSyntaxError)
-from actionccg.grammar import N, parse_category
+from actionccg.grammar import AP, N, LexEntry, Lexicon, parse_category
 from actionccg.learning import TrainingSample, induce_corpus_entries
-from actionccg.terms import Const, canonical, free_vars
+from actionccg.terms import And, Const, canonical, free_vars
 
 
 def write(path, text):
@@ -105,6 +105,34 @@ class TestLoadLexicon:
         assert "line 2" in str(err.value) and "line 1" in str(err.value)
 
 
+class TestArityMessages:
+    """Exact wording of every loader's arity conflict; the second case pins
+    the order in which one term's predicates are audited."""
+
+    @pytest.mark.parametrize("loader, name, text, message", [
+        (load_lexicon, "two.lex",
+         "A := AP : moved(box_one)\nB := AP : moved(box_one,box_two)\n",
+         "line 2: predicate 'moved' used with 2 arguments but with 1 on line 1"),
+        (load_lexicon, "one_term.lex",
+         "Knife := N : knife\nA := AP : p(a) & p(a,b)\n",
+         "line 2: predicate 'p' used with 1 arguments but with 2 on line 2"),
+        (load_axioms, "rule.rules",
+         "axiom ok: q(X) => q(X)\naxiom bad: p(X,Y) => p(X)\n",
+         "line 2: predicate 'p' used with 1 arguments but with 2 on line 2"),
+        (load_corpus, "note.corpus",
+         "knife cut bread\tcut(knife,bread) -> divided(bread)\n"
+         "knife cut bread\tcut(knife,bread) -> divided(bread,knife)\n",
+         "line 2: predicate 'divided' used with 2 arguments but with 1 on line 1"),
+        (load_gold, "facts.gold", "on_top(cup,bowl)\non_top(cup)\n",
+         "line 2: predicate 'on_top' used with 1 arguments but with 2 on line 1"),
+    ], ids=["two_lines", "one_term", "rule", "corpus", "gold"])
+    def test_message(self, tmp_path, loader, name, text, message):
+        path = write(tmp_path / name, text)
+        with pytest.raises(ArityConflictError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}, {message}"
+
+
 class TestRoundTrips:
     def test_seed_lexicon_round_trip(self, tmp_path, seed_lexicon):
         out = tmp_path / "seed_copy.lex"
@@ -133,6 +161,46 @@ class TestRoundTrips:
         assert [s.tokens for s in reloaded] == [s.tokens for s in table1_samples]
         assert [canonical(s.gold) for s in reloaded] == [
             canonical(s.gold) for s in table1_samples]
+
+
+class TestWritersCheckTheReadBack:
+    """A file that would not load back is refused with the loader's message,
+    naming the line, and nothing is written."""
+
+    def right_nested(self, depth):
+        # each level renders with a pair of parentheses, so 56 levels come
+        # out deeper than the 100 the term parser allows
+        term = parse_term("divided(bread)")
+        for _ in range(depth):
+            term = And(parse_term("moved(knife)"), term)
+        return term
+
+    def test_lexicon(self, tmp_path):
+        path = tmp_path / "deep.lex"
+        lexicon = Lexicon([LexEntry("A", AP, self.right_nested(56))])
+        with pytest.raises(SourceSyntaxError) as err:
+            save_lexicon(lexicon, path)
+        assert str(err.value).startswith(
+            f"not written, would not load back: {path}, line 1: "
+            "term nested deeper than 100 levels")
+        assert not path.exists()
+
+    def test_corpus(self, tmp_path):
+        path = tmp_path / "deep.corpus"
+        samples = [TrainingSample(("knife", "cut", "bread"),
+                                  self.right_nested(depth)) for depth in (1, 56)]
+        with pytest.raises(SourceSyntaxError) as err:
+            save_corpus(samples, path, header="deep")
+        # the header comment and the shallow sample come first
+        assert str(err.value).startswith(
+            f"not written, would not load back: {path}, line 3: "
+            "term nested deeper than 100 levels")
+        assert not path.exists()
+
+    def test_shallow_nesting_is_written(self, tmp_path):
+        path = tmp_path / "shallow.lex"
+        save_lexicon(Lexicon([LexEntry("A", AP, self.right_nested(40))]), path)
+        assert load_lexicon(path).entries[0].semantics == self.right_nested(40)
 
 
 class TestLoadCorpus:

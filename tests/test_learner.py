@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -274,24 +275,43 @@ class TestTrainFixedPoint:
         assert ([(e.key, float(e.weight).hex()) for e in once]
                 == [(e.key, float(e.weight).hex()) for e in twice])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ambiguous_training(),
+           st.lists(st.tuples(st.sampled_from(["knife", "cup"]),
+                              st.sampled_from(["cucumber", "carrot"])),
+                    min_size=1, max_size=3),
+           st.sampled_from([0.1, 1.0]))
+    def test_all_gold_rows_leave_the_weights_unchanged(self, training, pairs, lr):
+        # ``stir`` has one sense and its nouns one each, so every derivation
+        # of these rows matches its annotation and the row cannot move a weight
+        corpus, lexicon = training
+        lexicon = lexicon.with_entries(
+            [LexEntry("stir", ACTION_CATEGORY, parse_term(r"\x.\y.stir(x,y)"))])
+        all_gold = [sample(f"{s} stir {p}", f"stir({s},{p})") for s, p in pairs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SkippedSampleWarning)
+            alone = train(corpus, lexicon, TrainConfig(5, lr))
+            padded = train(corpus + all_gold, lexicon, TrainConfig(5, lr))
+        assert ([(e.key, float(e.weight).hex()) for e in alone]
+                == [(e.key, float(e.weight).hex()) for e in padded])
+
     @pytest.mark.parametrize("cup_weight, passes", [(0.0, 1), (-0.0, 2)])
     def test_zero_gradient_stops_at_the_fixed_point(self, monkeypatch,
                                                     cup_weight, passes):
         corpus = [sample("spoon stirring bucket", "stirring(spoon,bucket)")]
         lexicon = NOUNS.with_entries(induce_entries(corpus[0], NOUNS))
         lexicon = lexicon.with_weights({lexicon.lookup("Cup")[0].key: cup_weight})
-        calls = []
-        accumulate = learning._accumulate
+        grads = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return accumulate(*args, **kwargs)
+        def counted(factory):
+            grads.append(defaultdict(factory))
+            return grads[-1]
 
-        monkeypatch.setattr(learning, "_accumulate", counted)
+        monkeypatch.setattr(learning, "defaultdict", counted)
         # the gradient is zero, so only the l2 step on -0.0 moves a weight,
         # to 0.0; the pass after the last change is the last one
         trained = train(corpus, lexicon, TrainConfig(l2=1.0))
-        assert len(calls) == 2 * passes  # gold pool and full pool per pass
+        assert len(grads) == passes  # one gradient per pass
         assert [float(e.weight).hex() for e in trained] == ["0x0.0p+0"] * len(trained)
 
 
