@@ -33,14 +33,6 @@ class Derivation:
     left: "Derivation | None" = None
     right: "Derivation | None" = None
 
-    @property
-    def kind(self) -> str:
-        if self.entry is not None:
-            return "leaf"
-        if self.child is not None:
-            return "unary"
-        return "binary"
-
     def feature_counts(self) -> Counter:
         """Lexical entry usage counts; sums to the token count."""
         counts: Counter = Counter()
@@ -139,10 +131,21 @@ def exp_mass(scores) -> tuple[float, float]:
     return top, math.fsum(math.exp(s - top) for s in scores)
 
 
-def log_norm(scores) -> float:
-    """``log(sum(exp(s)))`` over ``scores``."""
-    top, mass = exp_mass(scores)
-    return top + math.log(mass)
+def _form_shares(derivations, lexicon: Lexicon) -> dict[str, tuple[float, list]]:
+    """Each logical form's share of the derivations' probability mass, with
+    the derivations that yield it, keyed by canonical string.
+
+    Every share is taken from one ``exp_mass`` top, so forms of equal mass
+    get equal shares whatever the size of the scores.
+    """
+    scores = [d.score(lexicon) for d in derivations]
+    top, total = exp_mass(scores)
+    groups: dict[str, list[int]] = {}
+    for idx, derivation in enumerate(derivations):
+        groups.setdefault(canonical(derivation.semantics), []).append(idx)
+    return {key: (math.fsum(math.exp(scores[i] - top) for i in group) / total,
+                  [derivations[i] for i in group])
+            for key, group in groups.items()}
 
 
 def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
@@ -152,34 +155,23 @@ def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
     normalized exponential of summed entry weights, so adding a constant
     to every weight leaves the value unchanged.
     """
-    derivations = parse_all(tokens, lexicon)
-    scores = [d.score(lexicon) for d in derivations]
-    target = canonical(logical_form)
-    matched = [s for d, s in zip(derivations, scores)
-               if canonical(d.semantics) == target]
-    if not matched:
-        return 0.0
-    return math.exp(log_norm(matched) - log_norm(scores))
+    shares = _form_shares(parse_all(tokens, lexicon), lexicon)
+    share, _ = shares.get(canonical(logical_form), (0.0, []))
+    return share
 
 
 def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
     """Most probable logical form, marginalizing over its derivations.
 
     Ties break toward the lexicographically smallest canonical rendering,
-    which keeps the choice independent of chart order.
+    which keeps the choice independent of chart order; shares within a
+    factor of 1 + 1e-12 tie.
     """
-    derivations = parse_all(tokens, lexicon)
-    scores = [d.score(lexicon) for d in derivations]
-    total = log_norm(scores)
-    groups: dict[str, list[int]] = {}
-    for idx, derivation in enumerate(derivations):
-        groups.setdefault(canonical(derivation.semantics), []).append(idx)
-    best_key = None
-    best_mass = -math.inf
-    for key in sorted(groups):
-        mass = log_norm([scores[i] for i in groups[key]])
-        if mass > best_mass + 1e-12:
-            best_key, best_mass = key, mass
-    chosen = [derivations[i] for i in groups[best_key]]
-    return ParseResult(chosen[0].semantics, math.exp(best_mass - total),
-                       tuple(chosen))
+    shares = _form_shares(parse_all(tokens, lexicon), lexicon)
+    best_key, best = None, -math.inf
+    for key in sorted(shares):
+        share = shares[key][0]
+        if share > best * (1 + 1e-12):
+            best_key, best = key, share
+    chosen = shares[best_key][1]
+    return ParseResult(chosen[0].semantics, best, tuple(chosen))

@@ -71,11 +71,21 @@ def _parsed(path, parse_line, arities=lambda value: (), text=None):
     as that file), in order; a SourceSyntaxError from ``parse_line`` gains the
     path and line, and so does a logical form too deeply nested to process (a
     RecursionError, say from reducing a term whose normal form is deep).
-    ``arities(value)`` names the ``(predicate, arity)`` pairs of a record; a
-    predicate used with two arities in the file raises ArityConflictError."""
+    A file that is not UTF-8 is a SourceSyntaxError on the line of its first
+    bad byte.  ``arities(value)`` names the ``(predicate, arity)`` pairs of a
+    record; a predicate used with two arities in the file raises
+    ArityConflictError."""
     seen: dict[str, tuple[int, int]] = {}
     if text is None:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one decode; the "." ends its line
+            before = data[:exc.start].decode("utf-8") + "."
+            raise SourceSyntaxError(
+                f"byte {data[exc.start]:#04x} is not valid UTF-8",
+                line=len(before.splitlines()), path=str(path)) from None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

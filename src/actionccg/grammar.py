@@ -134,13 +134,12 @@ def _category_part(toks: Tokens, depth: int) -> tuple[Category, int, int]:
 
 @dataclass(frozen=True)
 class LexEntry:
-    """One lexicon line: token, category, semantics, weight, provenance."""
+    """One lexicon line: token, category, semantics, weight."""
 
     token: str
     category: Category
     semantics: Term
     weight: float = 0.0
-    provenance: str = "seed"
 
     @cached_property
     def key(self) -> tuple[str, str, str]:
@@ -172,10 +171,6 @@ class Lexicon:
             self._exact.setdefault(entry.token, []).append(entry)
             self._folded.setdefault(entry.token.lower(), []).append(entry)
         self._weights = {e.key: e.weight for e in self._entries}
-
-    @property
-    def entries(self) -> tuple[LexEntry, ...]:
-        return self._entries
 
     def __len__(self) -> int:
         return len(self._entries)

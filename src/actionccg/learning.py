@@ -73,12 +73,11 @@ def inject_templates(tokens, lexicon: Lexicon) -> Lexicon:
         if lexicon.has_token(token):
             continue
         if OBJECT_TOKEN_RE.fullmatch(token):
-            fresh.append(LexEntry(token, N, Const(token.lower()),
-                                  0.0, "template"))
+            fresh.append(LexEntry(token, N, Const(token.lower())))
         else:
             semantics = parse_term(f"\\x.\\y.{token.lower()}(x,y)")
             fresh.append(LexEntry(token, ACTION_CATEGORY, semantics,
-                                  UNKNOWN_WEIGHT, "template"))
+                                  UNKNOWN_WEIGHT))
     return lexicon.with_entries(fresh) if fresh else lexicon
 
 
@@ -109,7 +108,7 @@ def induce_entries(sample: TrainingSample, lexicon: Lexicon) -> list[LexEntry]:
         raise InductionFailureError(
             f"candidate for {action_tok!r} does not reproduce the annotation: "
             f"{rebuilt} vs {sample.gold}")
-    entry = LexEntry(action_tok, ACTION_CATEGORY, candidate, 0.0, "learned")
+    entry = LexEntry(action_tok, ACTION_CATEGORY, candidate)
     known = {e.key for e in lexicon.lookup(action_tok)}
     return [] if entry.key in known else [entry]
 
@@ -164,7 +163,7 @@ def _fit_row(rows, theta, grad=None) -> float:
                      - math.exp(s - top) / mass)
             for key, count in counts.items():
                 grad[key] += delta * count
-    return gold_top + math.log(gold_mass) - (top + math.log(mass))
+    return (gold_top - top) + math.log(gold_mass / mass)
 
 
 def log_likelihood(corpus, lexicon: Lexicon) -> float:

@@ -207,9 +207,6 @@ class FactBase:
     retracted: tuple[Literal, ...] = ()
     closed: tuple = field(default=((), 0), compare=False, repr=False)
 
-    def __contains__(self, literal: Literal) -> bool:
-        return literal in self.literals
-
     def with_literal(self, literal: Literal) -> "FactBase":
         """Record one ground literal, resolving any contradiction.
 

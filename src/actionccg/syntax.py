@@ -28,7 +28,7 @@ import re
 
 from .errors import SourceSyntaxError
 from .terms import (And, App, Const, Exists, Forall, Implies, Lam, Not, Or,
-                    Pred, Term, Var)
+                    Pred, Term, Var, is_variable_name)
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(IDENT)
@@ -39,18 +39,12 @@ _SCAN_RE = re.compile(rf"""\s*(?:
   | (?P<DOT>\.) | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<COMMA>,) | (?P<AND>&)
   | (?P<OR>\|) | (?P<NOT>!) | (?P<EOF>\Z) | (?P<BAD>.))""",
                       re.VERBOSE | re.DOTALL)
-_VAR_SHAPE_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _KEYWORDS = ("forall", "exists")
 # Deepest nesting a term may have.  The parser spends up to six stack
 # frames per level and the recursive term walkers up to two (their own
 # and, in ``_subst`` and ``_render``, a list comprehension's), so a term
 # this deep stays well inside Python's default recursion limit of 1,000.
 MAX_DEPTH = 100
-
-
-def is_variable_name(name: str) -> bool:
-    """Shape rule for unbound identifiers: one letter plus optional digits."""
-    return bool(_VAR_SHAPE_RE.fullmatch(name))
 
 
 def variable_shape_note(names) -> str:

@@ -17,6 +17,7 @@ which fields are subterms.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
@@ -24,6 +25,14 @@ from operator import attrgetter
 from .errors import ConstantFunctionWarning, NonTerminationError
 
 DEFAULT_STEP_BUDGET = 10_000
+# The shape rule lives here, not in ``syntax`` (which imports this module),
+# because ``canonical`` needs it too.
+_VAR_SHAPE_RE = re.compile(r"[A-Za-z][0-9]*\Z")
+
+
+def is_variable_name(name: str) -> bool:
+    """Shape rule for unbound identifiers: one letter plus optional digits."""
+    return bool(_VAR_SHAPE_RE.fullmatch(name))
 
 
 class Term:
@@ -277,40 +286,25 @@ def is_beta_normal(term: Term) -> bool:
     return not _step(term)[1]
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-    return _aeq(a, b, {}, {}, 0)
-
-
-def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        return ea.get(a.name, a.name) == eb.get(b.name, b.name)
-    if isinstance(a, Binder):
-        return _aeq(a.body, b.body, {**ea, a.binds: depth}, {**eb, b.binds: depth},
-                    depth + 1)
-    if isinstance(a, (Const, Pred)) and a.name != b.name:
-        return False
-    ka, kb = a.kids(), b.kids()
-    if len(ka) != len(kb):
-        return False
-    for x, y in zip(ka, kb):
-        if not _aeq(x, y, ea, eb, depth):
-            return False
-    return True
-
-
 def canonical(term: Term) -> str:
     """Rendering with bound variables renumbered ``^0``, ``^1``, ... in
-    binder order.
+    binder order, and with a ``'`` before each free name that the shape
+    rule would read as the other kind (a constant ``x``, a variable
+    ``knife``).
 
-    No identifier starts with ``^``, so the renumbered names never meet a
-    free name, and two terms produce the same canonical string exactly
-    when they are alpha-equivalent: the string doubles as a dictionary key
-    for grouping derivations by logical form.
+    No identifier starts with ``^`` or ``'``, so the renumbered names never
+    meet a free name, and two terms produce the same canonical string
+    exactly when they are alpha-equivalent: the string doubles as a
+    dictionary key for grouping derivations by logical form.  Every term
+    ``parse_term`` returns names its free leaves by the shape rule, so
+    none of its canonical strings has a ``'``.
     """
     return _render(term, _P_BODY, {}, [0])
+
+
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Structural equality up to consistent renaming of bound variables."""
+    return canonical(a) == canonical(b)
 
 
 def inverse_lambda(result: Term, arg: Term) -> Lam:
@@ -322,15 +316,20 @@ def inverse_lambda(result: Term, arg: Term) -> Lam:
     constant function and a ConstantFunctionWarning is emitted.
     """
     v = fresh_name("v", all_names(result) | all_names(arg))
-    replaced, hits = _replace(result, arg, v, frozenset())
+    target = (type(arg), canonical(arg), free_vars(arg))
+    replaced, hits = _replace(result, target, v, frozenset())
     if hits == 0:
         warnings.warn(f"argument {arg} does not occur in {result}",
                       ConstantFunctionWarning, stacklevel=2)
     return Lam(v, replaced)
 
 
-def _replace(t: Term, target: Term, v: str, bound: frozenset[str]) -> tuple[Term, int]:
-    if not (free_vars(target) & bound) and alpha_eq(t, target):
+def _replace(t: Term, target: tuple[type, str, frozenset[str]], v: str,
+             bound: frozenset[str]) -> tuple[Term, int]:
+    """``target`` is the argument's node type, canonical string and free
+    variables."""
+    kind, key, free = target
+    if type(t) is kind and not (free & bound) and canonical(t) == key:
         return Var(v), 1
     if isinstance(t, Binder):
         body, hits = _replace(t.body, target, v, bound | {t.binds})
@@ -383,9 +382,12 @@ def _render(t: Term, ctx: int, env: dict[str, str],
     """``t`` in context ``ctx``.  ``env`` maps each bound name in scope to
     its rendering: itself, or with a ``counter`` the next ``^0``, ``^1``,
     ... in binder order."""
-    if isinstance(t, Var):
-        return env.get(t.name, t.name)
-    if isinstance(t, Const):
+    if isinstance(t, Var) and t.name in env:
+        return env[t.name]
+    if isinstance(t, (Var, Const)):
+        # canonical marks a free name whose kind the shape rule would misread
+        if counter is not None and isinstance(t, Var) != is_variable_name(t.name):
+            return f"'{t.name}"
         return t.name
     if isinstance(t, Pred):
         args = ",".join([_render(a, _P_BODY, env, counter) for a in t.args])

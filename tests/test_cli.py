@@ -334,6 +334,37 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:") and "line 1" in err
 
+    @pytest.mark.parametrize("loader", ["lexicon", "corpus", "sequence",
+                                        "gold", "rules"])
+    def test_non_utf8_data_file_is_one_diagnostic_line(
+            self, capsys, tmp_path, learned_lexicon_path, loader):
+        sources = {"lexicon": "basic.lex", "corpus": "table1.corpus",
+                   "sequence": "casestudy1.seq", "gold": "casestudy1.gold",
+                   "rules": "axioms.rules"}
+        for name in sources.values():
+            shutil.copy(data_path(name), tmp_path / name)
+        bad = tmp_path / sources[loader]
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        lexicon, rules = str(learned_lexicon_path), str(tmp_path / "axioms.rules")
+        argv = {
+            "lexicon": ["parse", "--lexicon", str(bad), "Knife Cut Cucumber"],
+            "corpus": ["learn", "--corpus", str(bad),
+                       "--seed", str(data_path("seed.lex")),
+                       "--out", str(tmp_path / "out.lex")],
+            "sequence": ["reason", "--lexicon", lexicon,
+                         "--sequence", str(bad), "--axioms", rules],
+            "gold": ["eval", "--lexicon", lexicon, "--sequences", str(tmp_path),
+                     "--gold", str(tmp_path), "--axioms", rules],
+            "rules": ["reason", "--lexicon", lexicon,
+                      "--sequence", str(tmp_path / "casestudy1.seq"),
+                      "--axioms", rules],
+        }[loader]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}, line 3: byte 0xff is not valid UTF-8\n"
+
     @pytest.mark.parametrize("weight", ["inf", "nan", "1e400"])
     def test_non_finite_weight_is_one_diagnostic_line(self, capsys, tmp_path,
                                                       weight):

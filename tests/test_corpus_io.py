@@ -26,7 +26,7 @@ class TestLoadLexicon:
     def test_single_entry(self, tmp_path):
         lex = load_lexicon(write(tmp_path / "one.lex", "Knife := N : knife\n"))
         assert len(lex) == 1
-        entry = lex.entries[0]
+        entry = list(lex)[0]
         assert entry.token == "Knife"
         assert entry.category == N
         assert entry.semantics == Const("knife")
@@ -38,7 +38,7 @@ class TestLoadLexicon:
     def test_exact_documented_line(self, tmp_path):
         line = r"Cut := (AP\NP)/NP : \x.\y. cut(x,y) -> divided(y) @ 0.0"
         lex = load_lexicon(write(tmp_path / "cut.lex", line + "\n"))
-        entry = lex.entries[0]
+        entry = list(lex)[0]
         assert entry.category == parse_category(r"(AP\NP)/NP")
         assert entry.weight == 0.0
         assert canonical(entry.semantics) == canonical(
@@ -47,19 +47,19 @@ class TestLoadLexicon:
     def test_weight_parses(self, tmp_path):
         lex = load_lexicon(write(tmp_path / "w.lex",
                                  "Knife := N : knife @ -1.25\n"))
-        assert lex.entries[0].weight == -1.25
+        assert list(lex)[0].weight == -1.25
 
     def test_semantics_normalized_on_load(self, tmp_path):
         lex = load_lexicon(write(tmp_path / "redex.lex",
                                  r"Odd := N : (\x.x) knife" + "\n"))
-        assert lex.entries[0].semantics == Const("knife")
+        assert list(lex)[0].semantics == Const("knife")
 
     def test_duplicate_entries_warn_and_merge(self, tmp_path):
         text = "Knife := N : knife @ 1.0\nKnife := N : knife @ 2.0\n"
         with pytest.warns(DuplicateEntryWarning):
             lex = load_lexicon(write(tmp_path / "dup.lex", text))
         assert len(lex) == 1
-        assert lex.entries[0].weight == 2.0
+        assert list(lex)[0].weight == 2.0
 
     def test_error_carries_line_and_path(self, tmp_path):
         path = write(tmp_path / "bad.lex", "Knife := N : knife\nBowl = N : bowl\n")
@@ -200,7 +200,7 @@ class TestWritersCheckTheReadBack:
     def test_shallow_nesting_is_written(self, tmp_path):
         path = tmp_path / "shallow.lex"
         save_lexicon(Lexicon([LexEntry("A", AP, self.right_nested(40))]), path)
-        assert load_lexicon(path).entries[0].semantics == self.right_nested(40)
+        assert list(load_lexicon(path))[0].semantics == self.right_nested(40)
 
 
 class TestLoadCorpus:

@@ -185,7 +185,7 @@ class TestLexicon:
         with pytest.warns(DuplicateEntryWarning):
             lex = Lexicon([a]).with_entries([b], warn_duplicates=True)
         assert len(lex) == 1
-        assert lex.entries[0].weight == 1.5
+        assert list(lex)[0].weight == 1.5
 
     def test_distinct_semantics_both_kept(self):
         a = self.entry("Cut", r"(AP\NP)/NP", r"\x.\y.cut(x,y)")
@@ -210,7 +210,7 @@ class TestLexicon:
     def test_with_weights_reweights_by_key(self):
         entry = self.entry("Knife", "N", "knife")
         lex = Lexicon([entry]).with_weights({entry.key: 2.25})
-        assert lex.entries[0].weight == 2.25
+        assert list(lex)[0].weight == 2.25
         assert lex.weight_of(entry.key) == 2.25
 
     @pytest.mark.parametrize("weight", [float("inf"), float("-inf"),

@@ -43,7 +43,7 @@ class TestInduceEntries:
         entry = entries[0]
         assert entry.token == "take_down"
         assert entry.category == ACTION_CATEGORY
-        assert entry.provenance == "learned"
+        assert entry.key not in {e.key for e in NOUNS}
         assert entry.weight == 0.0
         assert alpha_eq(entry.semantics, parse_term(
             r"\x.\y.take_down(x,y) -> !connected(x,y) & moved(x)"))
@@ -85,7 +85,8 @@ class TestInduceEntries:
     def test_shipped_corpus_induces_eight_actions(self, seed_lexicon,
                                                   table1_samples):
         lexicon = induce_corpus_entries(table1_samples, seed_lexicon)
-        learned = [e for e in lexicon if e.provenance == "learned"]
+        seed = {e.key for e in seed_lexicon}
+        learned = [e for e in lexicon if e.key not in seed]
         assert len(learned) == 8
         assert {e.token for e in learned} == {
             "chopping", "cutting", "stirring", "take_down", "put_on_top",
@@ -99,7 +100,6 @@ class TestInjectTemplates:
         entry = lexicon.lookup("Object_007")[0]
         assert entry.category == N
         assert entry.semantics == parse_term("object_007")
-        assert entry.provenance == "template"
         assert entry.weight == 0.0
 
     def test_object_match_ignores_case(self):
@@ -350,3 +350,13 @@ class TestLogLikelihood:
         lexicon = TestTrain().competing_lexicon()
         assert log_likelihood(corpus, lexicon) == pytest.approx(
             -math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("weight", [1e15, 1e16])
+    def test_uniform_ambiguity_costs_log_two_at_any_scale(self, weight):
+        # at 1e15 a score's ulp is 0.125, so top + log(2) rounds to top + 0.75
+        corpus = [sample("knife cut cucumber",
+                         "cut(knife,cucumber) -> divided(cucumber)")]
+        lexicon = TestTrain().competing_lexicon()
+        lexicon = lexicon.with_weights({e.key: weight for e in lexicon.lookup("cut")})
+        assert log_likelihood(corpus, lexicon) == pytest.approx(
+            -math.log(2.0), abs=1e-12)

@@ -72,9 +72,9 @@ class TestParseAll:
 
     def test_leaf_spans_and_kinds(self, basic_lexicon):
         root = parse_all(["Knife", "Cut", "Cucumber"], basic_lexicon)[0]
-        leaves = [n for n in walk(root) if n.kind == "leaf"]
+        leaves = [n for n in walk(root) if n.entry is not None]
         assert sorted(n.span for n in leaves) == [(0, 1), (1, 2), (2, 3)]
-        unaries = [n for n in walk(root) if n.kind == "unary"]
+        unaries = [n for n in walk(root) if n.child is not None]
         assert {n.category for n in unaries} == {NP}
 
     def test_tree_rendering(self, basic_lexicon):
@@ -171,6 +171,23 @@ class TestScoring:
                               ["Knife", "Cut", "Cucumber"], basic_lexicon)
         assert p == 0.0
 
+    @pytest.mark.parametrize("weight", [1e15, 1e16])
+    def test_equal_weights_split_evenly_at_any_scale(self, weight):
+        # log(2) added to a score of 1e15 rounds to 0.75 (p = 0.472 each)
+        lexicon = Lexicon([
+            LexEntry("Knife", parse_category("N"), parse_term("knife"), weight),
+            LexEntry("Knife", parse_category("N"), parse_term("blade"), weight),
+            noun("Cucumber"),
+            LexEntry("Cut", ACTION, parse_term(r"\x.\y.cut(x,y)")),
+        ])
+        tokens = ["Knife", "Cut", "Cucumber"]
+        shares = [parse_probability(parse_term(f"cut({name},cucumber)"),
+                                    tokens, lexicon)
+                  for name in ("knife", "blade")]
+        assert shares == [0.5, 0.5]
+        assert math.fsum(shares) == 1.0
+        assert argmax_parse(tokens, lexicon).probability == 0.5
+
     def test_probabilities_normalize(self):
         lexicon = self.ambiguous_lexicon(0.7, -0.3)
         tokens = ["Knife", "Cut", "Cucumber"]
@@ -199,6 +216,29 @@ class TestArgmax:
         result = argmax_parse(["Knife", "Cut", "Cucumber"], lexicon)
         assert result.logical_form == parse_term("aa_cut(knife,cucumber)")
         assert result.probability == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("w_zz,w_aa", [(1e-13, 0.0), (1e15, 1e15),
+                                           (1e16, 1e16)])
+    def test_tie_within_the_margin_goes_to_the_smallest_rendering(self, w_zz,
+                                                                  w_aa):
+        # shares within a factor of 1 + 1e-12 tie, at any scale
+        result = argmax_parse(["Knife", "Cut", "Cucumber"],
+                              self.two_senses(w_zz, w_aa))
+        assert result.logical_form == parse_term("aa_cut(knife,cucumber)")
+        assert result.probability == pytest.approx(0.5, abs=1e-12)
+
+    def test_a_gap_of_1e_minus_9_is_no_tie(self):
+        result = argmax_parse(["Knife", "Cut", "Cucumber"],
+                              self.two_senses(1e-9, 0.0))
+        assert result.logical_form == parse_term("zz_cut(knife,cucumber)")
+
+    @staticmethod
+    def two_senses(w_zz, w_aa):
+        return Lexicon([
+            noun("Knife"), noun("Cucumber"),
+            LexEntry("Cut", ACTION, parse_term(r"\x.\y.zz_cut(x,y)"), w_zz),
+            LexEntry("Cut", ACTION, parse_term(r"\x.\y.aa_cut(x,y)"), w_aa),
+        ])
 
     def test_shift_invariance(self):
         lexicon = TestScoring().ambiguous_lexicon(0.6, -0.1)

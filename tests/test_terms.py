@@ -150,6 +150,21 @@ class TestCanonical:
     def test_free_names_survive(self):
         assert canonical(t("cut(knife,y)")) == "cut(knife,y)"
 
+    @pytest.mark.parametrize("name", ["x", "z42", "knife"])
+    def test_constant_and_variable_of_one_name_differ(self, name):
+        # only code builds a constant the shape rule reads as a variable,
+        # or a free variable it reads as a constant
+        for const, var in [(Const(name), Var(name)),
+                           (Pred("p", (Const(name),)), Pred("p", (Var(name),))),
+                           (Lam("w", Const(name)), Lam("w", Var(name)))]:
+            assert canonical(const) != canonical(var)
+            assert alpha_eq(const, var) == db_alpha_eq(const, var) is False
+
+    def test_a_variable_named_like_the_argument_is_not_abstracted(self):
+        result = Lam("knife", Pred("p", (Var("knife"), Const("knife"))))
+        fun = inverse_lambda(result, Const("knife"))
+        assert fun == Lam("v", Lam("knife", Pred("p", (Var("knife"), Var("v")))))
+
 
 class TestInverseLambda:
     def test_abstracts_every_occurrence(self):
