@@ -20,9 +20,9 @@ from .errors import (ActionCCGError, ArityConflictError, BudgetExceededError,
 from .grammar import (Atom, Backward, Category, Forward, LexEntry, Lexicon,
                       apply_argument, combine, parse_category, render_category,
                       unary_project)
-from .corpus import (GoldConsequences, SequenceFile, data_path, load_axioms,
-                     load_corpus, load_gold, load_lexicon, load_sequence,
-                     save_corpus, save_lexicon, synthesize_corpus)
+from .corpus import (SequenceFile, data_path, load_axioms, load_corpus,
+                     load_gold, load_lexicon, load_sequence, save_corpus,
+                     save_lexicon, synthesize_corpus)
 from .learning import (TrainConfig, TrainingSample, induce_corpus_entries,
                        induce_entries, inject_templates, log_likelihood, train)
 from .reasoning import (AxiomRule, ConsequenceReport, FactBase, Literal,

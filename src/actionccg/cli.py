@@ -19,7 +19,7 @@ from pathlib import Path
 from . import corpus as corpus_io
 from .chart import argmax_parse
 from .errors import ActionCCGError
-from .grammar import N, Lexicon
+from .grammar import N
 from .learning import (TrainConfig, induce_corpus_entries, inject_templates,
                        log_likelihood, train)
 from .reasoning import FactBase, assert_event, forward_chain, report
@@ -180,9 +180,9 @@ def _cmd_eval(args) -> int:
         _, observed, chained = _run_sequence(sequence, lexicon, rules, False)
         plain = set(observed.literals)
         closed = set(chained.literals)
-        rows.append((sequence.name, len(gold.literals),
-                     sum(1 for l in gold.literals if l in plain),
-                     sum(1 for l in gold.literals if l in closed)))
+        rows.append((sequence.name, len(gold),
+                     sum(1 for l in gold if l in plain),
+                     sum(1 for l in gold if l in closed)))
     total = ("total", sum(r[1] for r in rows), sum(r[2] for r in rows),
              sum(r[3] for r in rows))
     if args.format == "tsv":

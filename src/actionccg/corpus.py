@@ -12,7 +12,7 @@ line holds one record:
 Loaders attach the file path and 1-based line number to any error and
 audit predicate arities, rejecting a name used with two different
 argument counts in the same file.  Savers write nothing that would not
-load back.
+load back as the records they were given.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import ArityConflictError, InvalidConfigError, SourceSyntaxError
@@ -37,14 +38,6 @@ class SequenceFile:
 
     name: str
     triplets: tuple[tuple[str, str, str], ...]
-
-
-@dataclass(frozen=True)
-class GoldConsequences:
-    """Reference final consequences for one sequence."""
-
-    name: str
-    literals: tuple[Literal, ...]
 
 
 def data_path(name: str) -> Path:
@@ -106,16 +99,25 @@ def _parsed(path, parse_line, arities=lambda value: (), text=None):
         yield value
 
 
-def _write(path, lines, parse_line, arities) -> None:
-    """Write ``lines`` to ``path`` once they are seen to load back as a file
-    of ``parse_line`` records; if they would not, write nothing and raise a
-    SourceSyntaxError carrying the loader's message."""
+def _write(path, records, line_of, parse_line, arities, header=None) -> None:
+    """Write ``line_of(record)`` for each of ``records`` to ``path``, after
+    ``header`` as a comment, once the text is seen to load back as a file of
+    ``parse_line`` records equal to ``records``; if it would not, write
+    nothing and raise a SourceSyntaxError naming the first line that does
+    not, with the loader's message when it fails."""
+    records = list(records)
+    lines = [f"# {header}"] if header else []
+    lines += [line_of(record) for record in records]
     text = "\n".join(lines) + "\n"
     try:
-        for _ in _parsed(path, parse_line, arities, text):
-            pass
+        loaded = list(_parsed(path, parse_line, arities, text))
     except (SourceSyntaxError, ArityConflictError) as exc:
         raise SourceSyntaxError(f"not written, would not load back: {exc}") from None
+    for number, (record, back) in enumerate(zip_longest(records, loaded),
+                                            start=len(lines) - len(records) + 1):
+        if record != back:
+            raise SourceSyntaxError(f"not written, would not load back: {path}, "
+                                    f"line {number}: reads back as another record")
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -154,9 +156,7 @@ _LEXICON = (_parse_lexicon_line, lambda entry: _predicates(entry.semantics))
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
-    lines = [f"{e.token} := {e.category} : {render(e.semantics)} @ {e.weight!r}"
-             for e in lexicon]
-    _write(path, lines, *_LEXICON)
+    _write(path, lexicon, str, *_LEXICON)
 
 
 def load_corpus(path) -> list[TrainingSample]:
@@ -185,9 +185,8 @@ _CORPUS = (_parse_corpus_line, lambda sample: _predicates(sample.gold))
 
 
 def save_corpus(samples, path, header: str | None = None) -> None:
-    lines = [f"# {header}"] if header else []
-    lines += [f"{' '.join(s.tokens)}\t{render(s.gold)}" for s in samples]
-    _write(path, lines, *_CORPUS)
+    _write(path, samples, lambda s: f"{' '.join(s.tokens)}\t{render(s.gold)}",
+           *_CORPUS, header=header)
 
 
 def load_sequence(path) -> SequenceFile:
@@ -202,9 +201,9 @@ def _parse_sequence_line(line: str) -> tuple[str, str, str]:
     return tokens
 
 
-def load_gold(path) -> GoldConsequences:
-    literals = dict.fromkeys(_parsed(path, parse_literal, _literals))
-    return GoldConsequences(Path(path).stem, tuple(literals))
+def load_gold(path) -> tuple[Literal, ...]:
+    """Read reference final consequences; a repeated literal counts once."""
+    return tuple(dict.fromkeys(_parsed(path, parse_literal, _literals)))
 
 
 def load_axioms(path) -> list[AxiomRule]:

@@ -25,7 +25,7 @@ from functools import cached_property
 from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
                      SourceSyntaxError)
 from .syntax import MAX_DEPTH, Tokens, check_depth
-from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term, Var,
+from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
                     And, all_names, beta_reduce, canonical, free_vars,
                     fresh_name, substitute)
 

@@ -282,9 +282,9 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     Semi-naive evaluation: each round only explores rule instantiations
     that use at least one fact new to that round; joins probe an
     ``_index`` of all facts and one of the new facts.  The first round
-    joins each rule once: in full, or through ``_join_first`` when part
-    of ``kb`` is marked closed.  Later rounds join once per body position
-    that can take one of the previous round's facts.
+    joins each rule once, through ``_join_first``, which is the full join
+    when no part of ``kb`` is marked closed.  Later rounds join once per
+    body position that can take one of the previous round's facts.
 
     Each rule carries a join plan compiled when it was built
     (``AxiomRule.plan``).  Body literals are joined in written order, so
@@ -330,13 +330,11 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
             pivots = [i for i, shape in enumerate(plan.shapes) if shape in delta]
             if not pivots:
                 continue
-            if not first_round:
-                joins = (_join(plan.steps, [plan.seed], everything, delta, p)
-                         for p in pivots)
-            elif old:
+            if first_round:
                 joins = (_join_first(plan, everything, delta, pivots[-1]),)
             else:
-                joins = (_join(plan.steps, [plan.seed], everything),)
+                joins = (_join(plan.steps, [plan.seed], everything, delta, p)
+                         for p in pivots)
             head, predicate, positive = plan.head, rule.head.predicate, rule.head.positive
             for bindings in joins:
                 for binding in bindings:

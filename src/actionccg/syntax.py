@@ -12,7 +12,10 @@ Grammar, loosest binding first::
     atom  := IDENT ('(' term (',' term)* ')')?
            | '(' term ')'
 
-Lambda and quantifier bodies extend as far right as possible.  A bare
+The binders, ``!`` and the connectives take their text, precedence and
+associativity from ``terms.SYNTAX``, the table ``render`` writes them by,
+and one precedence-climbing loop (``_term``) parses them all.  Lambda and
+quantifier bodies extend as far right as possible.  A bare
 identifier is a variable when an enclosing binder captures it or when it
 is a single letter with an optional digit suffix (``x``, ``f``, ``x1``);
 anything longer is a constant.  ``name(args)`` builds a predication
@@ -27,8 +30,8 @@ from __future__ import annotations
 import re
 
 from .errors import SourceSyntaxError
-from .terms import (And, App, Const, Exists, Forall, Implies, Lam, Not, Or,
-                    Pred, Term, Var, is_variable_name)
+from .terms import (P_BODY, P_IMPL, SYNTAX, App, Const, Not, Pred, Term, Var,
+                    is_variable_name)
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(IDENT)
@@ -40,7 +43,7 @@ _SCAN_RE = re.compile(rf"""\s*(?:
   | (?P<OR>\|) | (?P<NOT>!) | (?P<EOF>\Z) | (?P<BAD>.))""",
                       re.VERBOSE | re.DOTALL)
 _KEYWORDS = ("forall", "exists")
-# Deepest nesting a term may have.  The parser spends up to six stack
+# Deepest nesting a term may have.  The parser spends up to three stack
 # frames per level and the recursive term walkers up to two (their own
 # and, in ``_subst`` and ``_render``, a list comprehension's), so a term
 # this deep stays well inside Python's default recursion limit of 1,000.
@@ -125,60 +128,48 @@ def check_depth(depth: int, offset: int, what: str = "term") -> int:
     return depth
 
 
+# Each operator of the term grammar by the text of its token: the node it
+# builds, its precedence and whether it nests to the right.  Binders and
+# ``!`` come before their parts, the connectives between them.
+_PREFIX = {before.strip(): (node, prec, right)
+           for node, (before, _, prec, right) in SYNTAX.items() if before}
+_INFIX = {between.strip(): (node, prec, right)
+          for node, (before, between, prec, right) in SYNTAX.items()
+          if not before}
+_NO_OPERATOR = (None, 0, False)
+
+
 # Each parser below takes the nesting depth it starts at and returns the
 # term with its height, so that recursion stops at MAX_DEPTH and a long
 # chain of operators, parsed by a loop, is caught by its height.
 
-def _term(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
-    kind, _, pos = toks.peek()
+def _term(toks: Tokens, bound: frozenset[str], depth: int,
+          power: int = P_BODY) -> tuple[Term, int]:
+    """A binder or ``!`` node or an application, extended to the right by
+    each connective no looser than ``power`` (precedence climbing)."""
+    _, word, pos = toks.peek()
     check_depth(depth, pos)
-    if kind == "LAMBDA":
+    node, prec, right = _PREFIX.get(word, _NO_OPERATOR)
+    # a binder's body reaches as far right as it can, so a binder opens
+    # only an operand that every connective may continue
+    if node is Not or node is not None and power <= P_IMPL:
         toks.next()
-        _, name, _ = toks.expect("IDENT")
-        toks.expect("DOT")
-        body, height = _term(toks, bound | {name}, depth + 1)
-        return Lam(name, body), height + 1
-    if kind in ("FORALL", "EXISTS"):
+        name = []  # the name a binder binds
+        if node is not Not:
+            name.append(toks.expect("IDENT")[1])
+            toks.expect("DOT")
+        body, height = _term(toks, bound.union(name), depth + 1,
+                             prec + (not right))
+        term, height = node(*name, body), height + 1
+    else:
+        term, height = _app(toks, bound, depth)
+    while True:
+        node, prec, right = _INFIX.get(toks.peek()[1], _NO_OPERATOR)
+        if node is None or prec < power:
+            return term, height
         toks.next()
-        _, name, _ = toks.expect("IDENT")
-        toks.expect("DOT")
-        body, height = _term(toks, bound | {name}, depth + 1)
-        return (Forall(name, body) if kind == "FORALL"
-                else Exists(name, body)), height + 1
-    left, height = _or(toks, bound, depth)
-    if toks.peek()[0] == "ARROW":
-        toks.next()
-        right, right_height = _term(toks, bound, depth + 1)
-        return Implies(left, right), max(height, right_height) + 1
-    return left, height
-
-
-def _or(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
-    term, height = _and(toks, bound, depth)
-    while toks.peek()[0] == "OR":
-        toks.next()
-        right, right_height = _and(toks, bound, depth + 1)
-        term, height = Or(term, right), max(height, right_height) + 1
-    return term, height
-
-
-def _and(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
-    term, height = _not(toks, bound, depth)
-    while toks.peek()[0] == "AND":
-        toks.next()
-        right, right_height = _not(toks, bound, depth + 1)
-        term, height = And(term, right), max(height, right_height) + 1
-    return term, height
-
-
-def _not(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:
-    kind, _, pos = toks.peek()
-    check_depth(depth, pos)
-    if kind == "NOT":
-        toks.next()
-        body, height = _not(toks, bound, depth + 1)
-        return Not(body), height + 1
-    return _app(toks, bound, depth)
+        kid, kid_height = _term(toks, bound, depth + 1, prec + (not right))
+        term, height = node(term, kid), max(height, kid_height) + 1
 
 
 def _app(toks: Tokens, bound: frozenset[str], depth: int) -> tuple[Term, int]:

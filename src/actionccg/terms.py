@@ -299,7 +299,7 @@ def canonical(term: Term) -> str:
     ``parse_term`` returns names its free leaves by the shape rule, so
     none of its canonical strings has a ``'``.
     """
-    return _render(term, _P_BODY, {}, [0])
+    return _render(term, P_BODY, {}, [0])
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -355,26 +355,28 @@ def rename_constants(term: Term, names: dict[str, str]) -> Term:
 # implication (right-associative), disjunction, conjunction, negation,
 # juxtaposition, atoms.  ``a & b -> c`` therefore reads ((a & b) -> c).
 
-_P_BODY, _P_IMPL, _P_OR, _P_AND, _P_NOT, _P_APP, _P_ATOM = range(7)
+P_BODY, P_IMPL, P_OR, P_AND, P_NOT, P_APP, P_ATOM = range(7)
 
-# Binder and infix nodes: (text before the parts, text between them, the
-# node's own precedence, the context each kid is rendered in).  A
+# Binder, negation and connective nodes, for ``render`` and for
+# ``syntax.parse_term``: (text before the parts, text between them, the
+# node's own precedence, whether it nests to the right, that is whether
+# its last part rather than its first may share that precedence).  A
 # binder's parts are the name it binds and its body; any other node's
 # parts are its kids.
-_SYNTAX = {
-    Lam: ("\\", ".", _P_BODY, (_P_BODY,)),
-    Forall: ("forall ", ".", _P_BODY, (_P_BODY,)),
-    Exists: ("exists ", ".", _P_BODY, (_P_BODY,)),
-    Implies: ("", " -> ", _P_IMPL, (_P_OR, _P_IMPL)),
-    Or: ("", " | ", _P_OR, (_P_OR, _P_AND)),
-    And: ("", " & ", _P_AND, (_P_AND, _P_NOT)),
-    Not: ("!", "", _P_NOT, (_P_NOT,)),
+SYNTAX = {
+    Lam: ("\\", ".", P_BODY, True),
+    Forall: ("forall ", ".", P_BODY, True),
+    Exists: ("exists ", ".", P_BODY, True),
+    Implies: ("", " -> ", P_IMPL, True),
+    Or: ("", " | ", P_OR, False),
+    And: ("", " & ", P_AND, False),
+    Not: ("!", "", P_NOT, True),
 }
 
 
 def render(term: Term) -> str:
     """ASCII surface form; ``parse_term`` inverts it."""
-    return _render(term, _P_BODY, {}, None)
+    return _render(term, P_BODY, {}, None)
 
 
 def _render(t: Term, ctx: int, env: dict[str, str],
@@ -390,33 +392,37 @@ def _render(t: Term, ctx: int, env: dict[str, str],
             return f"'{t.name}"
         return t.name
     if isinstance(t, Pred):
-        args = ",".join([_render(a, _P_BODY, env, counter) for a in t.args])
+        args = ",".join([_render(a, P_BODY, env, counter) for a in t.args])
         return f"{t.name}({args})"
     if isinstance(t, App):
         # ``f(a,b)`` reads back as a spine only when ``f`` is bound; any
         # other head is juxtaposed, as ``f a b``.
         head, args = _spine(t)
         if isinstance(head, Var) and head.name in env:
-            args = ",".join([_render(a, _P_BODY, env, counter) for a in args])
+            args = ",".join([_render(a, P_BODY, env, counter) for a in args])
             return f"{env[head.name]}({args})"
-        out = _render(head, _P_APP, env, counter)
+        out = _render(head, P_APP, env, counter)
         for arg in args:
-            text = _render(arg, _P_ATOM, env, counter)
+            text = _render(arg, P_ATOM, env, counter)
             if text.startswith("(") and not out.endswith(")"):
                 out = f"({out})"  # ``f (a)`` would read back as ``f(a)``
             out = f"{out} {text}"
-        return f"({out})" if ctx > _P_APP else out
-    before, between, prec, contexts = _SYNTAX[type(t)]
+        return f"({out})" if ctx > P_APP else out
+    before, between, prec, right = SYNTAX[type(t)]
+    # the last kid's context; the others are rendered in ``prec + right``
+    last = prec + (not right)
     if isinstance(t, Binder):
         name = t.binds
         if counter is not None:
             name = f"^{counter[0]}"
             counter[0] += 1
-        body = _render(t.body, contexts[0], {**env, t.binds: name}, counter)
+        body = _render(t.body, last, {**env, t.binds: name}, counter)
         out = f"{before}{name}{between}{body}"
     else:
-        out = before + between.join([_render(kid, c, env, counter)
-                                     for kid, c in zip(t.kids(), contexts)])
+        *init, tail = t.kids()
+        out = before + between.join(
+            [_render(kid, prec + right, env, counter) for kid in init]
+            + [_render(tail, last, env, counter)])
     return f"({out})" if ctx > prec else out
 
 

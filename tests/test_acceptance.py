@@ -159,8 +159,8 @@ def test_criterion_5_rules_strictly_improve_recall(trained_pipeline):
             result = run_case_study(name, lexicon)
             observed = set(result.observed)
             closed = observed | set(result.deduced)
-            plain_n = sum(1 for l in gold.literals if l in observed)
-            closed_n = sum(1 for l in gold.literals if l in closed)
+            plain_n = sum(1 for l in gold if l in observed)
+            closed_n = sum(1 for l in gold if l in closed)
             assert (plain_n, closed_n) == (plain_goal, closed_goal), name
             assert closed_n > plain_n, name
 

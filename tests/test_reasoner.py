@@ -183,6 +183,19 @@ class TestForwardChain:
         deduced = report(kb, closed).deduced
         assert [str(l) for l in deduced] == ["on_top(box,ball)"]
 
+    def test_later_round_joins_each_new_body_predicate_in_turn(self):
+        # round 1 derives a(o2) and b(o1); round 2 joins its new a facts
+        # before its new b facts, so c(o2) comes before c(o1), unlike one
+        # pass over all facts in insertion order
+        rules = [parse_axiom("axiom r1: d(X) => a(X)"),
+                 parse_axiom("axiom r2: e(X) => b(X)"),
+                 parse_axiom("axiom r3: a(X) & b(X) => c(X)")]
+        kb = kb_of("a(o1)", "b(o2)", "d(o2)", "e(o1)")
+        closed = forward_chain(kb, rules)
+        assert closed.literals == seminaive_chain_literals(kb, rules)
+        assert [str(l) for l in closed.literals[len(kb.literals):]] == [
+            "a(o2)", "b(o1)", "c(o2)", "c(o1)"]
+
     def test_transitive_containment_cascades(self):
         kb = kb_of("contained(box,bag)", "contained(crate,box)",
                    "divided(crate)")
