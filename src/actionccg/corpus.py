@@ -99,18 +99,20 @@ def _parsed(path, parse_line, arities=lambda value: (), text=None):
         yield value
 
 
-def _write(path, records, line_of, parse_line, arities, header=None) -> None:
+def _write(path, records, line_of, parse_line, arities, header=None,
+           build=list) -> None:
     """Write ``line_of(record)`` for each of ``records`` to ``path``, after
     ``header`` as a comment, once the text is seen to load back as a file of
-    ``parse_line`` records equal to ``records``; if it would not, write
-    nothing and raise a SourceSyntaxError naming the first line that does
-    not, with the loader's message when it fails."""
+    ``parse_line`` records that ``build`` makes into ``records`` again, as
+    the loader would; if it would not, write nothing and raise a
+    SourceSyntaxError naming the first line that does not, with the
+    loader's message when it fails."""
     records = list(records)
     lines = [f"# {header}"] if header else []
     lines += [line_of(record) for record in records]
     text = "\n".join(lines) + "\n"
     try:
-        loaded = list(_parsed(path, parse_line, arities, text))
+        loaded = list(build(_parsed(path, parse_line, arities, text)))
     except (SourceSyntaxError, ArityConflictError) as exc:
         raise SourceSyntaxError(f"not written, would not load back: {exc}") from None
     for number, (record, back) in enumerate(zip_longest(records, loaded),
@@ -156,7 +158,9 @@ _LEXICON = (_parse_lexicon_line, lambda entry: _predicates(entry.semantics))
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
-    _write(path, lexicon, str, *_LEXICON)
+    """Write ``lexicon``; one that holds two entries of one key is refused,
+    since loading merges them."""
+    _write(path, lexicon, str, *_LEXICON, build=Lexicon().with_entries)
 
 
 def load_corpus(path) -> list[TrainingSample]:

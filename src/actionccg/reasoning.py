@@ -12,8 +12,8 @@ fixpoint under a derivation cap.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -23,28 +23,36 @@ from .syntax import IDENT, is_identifier, variable_shape_note
 from .terms import And, Const, Implies, Not, Pred, Term, Var
 
 MAX_DERIVED = 100_000
+# a rule joins as one nested loop per body literal, and Python compiles at
+# most 20 statically nested blocks
+MAX_BODY = 20
 
 _LITERAL_RE = re.compile(rf"\s*(!?)\s*({IDENT})\s*\(([^()]*)\)\s*\Z")
 _AXIOM_RE = re.compile(rf"\s*axiom\s+({IDENT})\s*:\s*(.*?)\s*=>\s*(.*?)\s*\Z")
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A ground or pattern literal; uppercase-initial args are variables."""
-
+class _LiteralFields(NamedTuple):
     positive: bool
     predicate: str
     args: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+
+class Literal(_LiteralFields):
+    """A ground or pattern literal; uppercase-initial args are variables.
+
+    An immutable tuple ``(positive, predicate, args)``, so equality,
+    hashing and set membership run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, positive: bool, predicate: str, args) -> "Literal":
+        return tuple.__new__(cls, (positive, predicate, tuple(args)))
 
     def negated(self) -> "Literal":
         return Literal(not self.positive, self.predicate, self.args)
 
-    @property
-    def atom(self) -> tuple[str, tuple[str, ...]]:
-        return (self.predicate, self.args)
+    atom = property(itemgetter(1, 2), doc="``(predicate, args)``")
 
     def __str__(self) -> str:
         sign = "" if self.positive else "!"
@@ -85,30 +93,29 @@ class _Step(NamedTuple):
     arity: int
     position: int | None  # argument whose bucket is probed; None: (predicate, arity)
     slot: int  # the binding slot that holds the probed argument's value
-    check: Callable | None  # other arguments whose value is known, or None
-    expect: Callable  # binding -> those values
-    repeat: Callable | None  # later occurrences of variables repeated here, or None
-    first: Callable  # the first occurrences of those variables
-    bind: Callable  # arguments that bind new variables, as a tuple
+    check: tuple[tuple[int, int], ...]  # (argument, slot) of the others already known
+    bind: tuple[tuple[int, int], ...]  # (argument, slot) of each new variable
 
 
 class _Plan(NamedTuple):
-    """A rule compiled for ``forward_chain``: a binding is a tuple whose
-    first slots hold the rule's constants and whose later slots hold its
-    variables in order of first occurrence."""
+    """A rule compiled for ``forward_chain``.  Its values are numbered in
+    slots, the rule's constants first and then its variables in order of
+    first occurrence; ``joins`` caches the join of each pivot position."""
 
-    seed: tuple[str, ...]
+    seed: tuple[str, ...]  # the constants
     steps: tuple[_Step, ...]
     shapes: tuple[tuple[str, int], ...]  # (predicate, arity) of each step
-    head: Callable  # binding -> head arguments
+    head: tuple[int, ...]  # the slot of each head argument
+    joins: list  # pivot position -> join function, or None until first use
 
 
 @dataclass(frozen=True)
 class AxiomRule:
     """Horn rule: positive body literals implying one positive head.
 
-    Building one compiles its join plan, and raises RangeRestrictionError
-    if a head variable occurs in no body literal.
+    Building one plans its joins, and raises SourceSyntaxError for a
+    negated literal or more than ``MAX_BODY`` body literals, and
+    RangeRestrictionError if a head variable occurs in no body literal.
     """
 
     name: str
@@ -124,6 +131,14 @@ def _compile(rule: AxiomRule) -> _Plan:
     """Fix, for each body literal in written order, the bucket it probes
     (its first constant or earlier-bound argument, else its predicate and
     arity), the arguments left to check and those that bind variables."""
+    negated = [str(l) for l in rule.body + (rule.head,) if not l.positive]
+    if negated:
+        raise SourceSyntaxError(
+            f"axiom {rule.name!r}: negation is not allowed in a rule: "
+            f"{', '.join(negated)}")
+    if len(rule.body) > MAX_BODY:
+        raise SourceSyntaxError(f"axiom {rule.name!r}: more than {MAX_BODY} "
+                                f"body literals")
     slots: dict[str, int] = {}
     for literal in rule.body + (rule.head,):
         for arg in literal.args:
@@ -133,27 +148,20 @@ def _compile(rule: AxiomRule) -> _Plan:
     steps = []
     for literal in rule.body:
         key = None
-        checks, repeats, binds = [], [], []
-        here: dict[str, int] = {}
+        checks, binds = [], []
+        here = set()
         for position, arg in enumerate(literal.args):
-            if arg in here:
-                repeats.append((position, here[arg]))
-            elif arg not in slots:
-                here[arg] = position
+            if arg not in slots:
+                here.add(arg)
                 slots[arg] = len(slots)
-                binds.append(position)
-            elif key is None:
+                binds.append((position, slots[arg]))
+            elif key is None and arg not in here:
                 key = (position, slots[arg])
             else:
                 checks.append((position, slots[arg]))
         position, slot = key or (None, 0)
-        steps.append(_Step(
-            literal.predicate, len(literal.args), position, slot,
-            _take(p for p, _ in checks) if checks else None,
-            _take(s for _, s in checks),
-            _take(p for p, _ in repeats) if repeats else None,
-            _take(p for _, p in repeats),
-            _take(binds)))
+        steps.append(_Step(literal.predicate, len(literal.args), position, slot,
+                           tuple(checks), tuple(binds)))
     loose = [a for a in rule.head.args if a not in slots]
     if loose:
         raise RangeRestrictionError(
@@ -161,16 +169,70 @@ def _compile(rule: AxiomRule) -> _Plan:
             f"occur in the body")
     return _Plan(seed, tuple(steps),
                  tuple((l.predicate, len(l.args)) for l in rule.body),
-                 _take(slots[a] for a in rule.head.args))
+                 tuple(slots[a] for a in rule.head.args), [None] * len(steps))
 
 
-def _take(indexes) -> Callable:
-    """A C-level getter for ``tuple(seq[i] for i in indexes)``."""
-    indexes = tuple(indexes)
-    start = indexes[0] if indexes else 0
-    if indexes == tuple(range(start, start + len(indexes))):
-        return itemgetter(slice(start, start + len(indexes)))
-    return itemgetter(*indexes)
+def _join(plan: _Plan, pivot: int) -> Callable:
+    """The join of ``plan`` for ``pivot``, compiled and cached on first use."""
+    source, values = _join_source(plan, pivot)
+    namespace: dict = {}
+    exec(compile(source, "<join>", "exec"), namespace)
+    join = plan.joins[pivot] = namespace["bind"](**values)
+    return join
+
+
+def _join_source(plan: _Plan, pivot: int) -> tuple[str, dict]:
+    """Python source of ``join(everything, new, marked)`` for ``pivot``,
+    and the values it binds.
+
+    The join is one ``for`` loop per body literal, nested in written
+    order, over the literal's bucket in ``everything``; the innermost
+    yields the head's arguments.  The ``pivot`` loop reads ``new``
+    instead, unless a loop before it matched a fact from the tail of its
+    bucket that ``marked`` holds.  Predicates, constants and bucket keys
+    enter as arguments of ``bind``, so the source holds only generated
+    names (``v`` and a slot for a value, ``k``/``p`` and a step for a
+    key/predicate) and integer positions.
+    """
+    values = {f"v{slot}": value for slot, value in enumerate(plan.seed)}
+    lines = ["def join(everything, new, marked):",
+             " eget, nget, mget = everything.get, new.get, marked.get"]
+    tails = []  # for each loop before the pivot: whether its fact is new
+    for i, step in enumerate(plan.steps):
+        pad = " " * (i + 1)
+        if step.position is None:
+            key, values[f"k{i}"] = f"k{i}", (step.predicate, step.arity)
+        elif step.slot < len(plan.seed):
+            key, values[f"k{i}"] = f"k{i}", (step.predicate, step.arity, step.position,
+                                             plan.seed[step.slot])
+        else:
+            values[f"p{i}"] = step.predicate
+            key = f"(p{i}, {step.arity}, {step.position}, v{step.slot})"
+        names = ["_"] * step.arity
+        for position, slot in step.bind:
+            names[position] = f"v{slot}"
+        for position, _ in step.check:
+            names[position] = f"t{position}"
+        target = ", ".join(names) + ","
+        if i < pivot:
+            lines += [f"{pad}q{i} = {key}", f"{pad}b{i} = eget(q{i}, ())",
+                      f"{pad}s{i} = len(b{i}) - len(mget(q{i}, ()))",
+                      f"{pad}for n{i}, ({target}) in enumerate(b{i}):"]
+            tails.append(f"n{i} >= s{i}")
+        elif i == pivot and tails:
+            lines.append(f"{pad}for {target} in (eget if {' or '.join(tails)} "
+                         f"else nget)({key}, ()):")
+        else:
+            lines.append(f"{pad}for {target} in {'nget' if i == pivot else 'eget'}"
+                         f"({key}, ()):")
+        if step.check:
+            tests = " or ".join(f"t{p} != v{slot}" for p, slot in step.check)
+            lines.append(f"{pad} if {tests}: continue")
+    lines.append(" " * (len(plan.steps) + 1) + "yield "
+                 + "".join(f"v{slot}," for slot in plan.head))
+    lines.append("return join")
+    body = "\n".join(" " + line for line in lines)
+    return f"def bind({', '.join(values)}):\n{body}\n", values
 
 
 def parse_axiom(text: str) -> AxiomRule:
@@ -282,21 +344,25 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     Semi-naive evaluation: each round only explores rule instantiations
     that use at least one fact new to that round; joins probe an
     ``_index`` of all facts and one of the new facts.  The first round
-    joins each rule once, through ``_join_first``, which is the full join
-    when no part of ``kb`` is marked closed.  Later rounds join once per
-    body position that can take one of the previous round's facts.
+    joins each rule once, with the last body position whose predicate
+    has new facts as pivot, which is the full join when no part of
+    ``kb`` is marked closed.  Later rounds join once per body position
+    that can take one of the previous round's facts, that position
+    reading only those.
 
-    Each rule carries a join plan compiled when it was built
+    Each rule carries a join plan made when it was built
     (``AxiomRule.plan``).  Body literals are joined in written order, so
     the plan fixes for each one the bucket it probes (its first constant
-    or earlier-bound argument, else its predicate and arity), the arity
-    test, the arguments left to check (a variable repeated within the
-    literal among them) and the arguments that bind new variables.  A
-    binding is a tuple of values, the rule's constants first, then its
-    variables in order of first occurrence; the head is a getter over
-    it, and a head becomes a ``Literal`` only once it is known to be new.
-    Each body position is one flat loop in a chain of generators, so a
-    runaway rule hits the budget before its cross product exists.
+    or earlier-bound argument, else its predicate and arity), the
+    arguments left to check and the arguments that bind new variables.
+    On first use for a pivot position, the plan is compiled into a
+    generator function of nested ``for`` loops, one per body literal,
+    that yields the head's arguments (``_join_source``); it is cached on
+    the plan, so loading rules compiles nothing.  No rule text reaches
+    the generated source: predicates and constants enter as bound
+    values.  A head becomes a ``Literal`` only once it is known to be
+    new, and a runaway rule hits the budget before its cross product
+    exists.
 
     The first round's new facts are those after the prefix that
     ``kb.closed`` marks as closed under these same ``rules``, or every
@@ -311,127 +377,73 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     appear, which catches runaway rule sets.
     """
     rules = tuple(rules)
-    facts: list[Literal] = [l for l in kb.literals if l.positive]
     # a head is new unless it is a known fact or a retracted (negative) one:
     # the event outranks the rules
-    seen = {l.atom for l in kb.literals}
+    seen: dict[str, set[tuple[str, ...]]] = defaultdict(set)
+    for _, predicate, args in kb.literals:
+        seen[predicate].add(args)
     closed_rules, closed = kb.closed
-    old = sum(l.positive for l in kb.literals[:closed]) if closed_rules == rules else 0
-    everything = _index(facts, {})
+    if closed_rules != rules:
+        closed = 0
+    # only the buckets that some body literal probes
+    probes: dict[tuple[str, int], set[int]] = {}
+    for rule in rules:
+        for step in rule.plan.steps:
+            positions = probes.setdefault((step.predicate, step.arity), set())
+            if step.position is not None:
+                positions.add(step.position)
+    everything = _index(kb.literals, probes)
     # with nothing closed every fact is new, so both joins share one index
-    delta = _index(facts[old:], {}) if old else everything
+    delta = _index(kb.literals[closed:], probes) if closed else everything
+    # the first round's pivot reads new facts only after old ones before it;
+    # later rounds count nothing before the pivot as new
+    marked = delta
     derived: list[Literal] = []
-    first_round = True
     while True:
         fresh: list[Literal] = []
         for rule in rules:
             plan = rule.plan
             # only positions whose predicate has new facts can use one
             pivots = [i for i, shape in enumerate(plan.shapes) if shape in delta]
-            if not pivots:
-                continue
-            if first_round:
-                joins = (_join_first(plan, everything, delta, pivots[-1]),)
-            else:
-                joins = (_join(plan.steps, [plan.seed], everything, delta, p)
-                         for p in pivots)
-            head, predicate, positive = plan.head, rule.head.predicate, rule.head.positive
-            for bindings in joins:
-                for binding in bindings:
-                    args = head(binding)
-                    atom = (predicate, args)
-                    if atom in seen:
+            if marked:  # the first round: one join, at the last pivot
+                pivots = pivots[-1:]
+            predicate = rule.head.predicate
+            heads = seen[predicate]
+            for pivot in pivots:
+                join = plan.joins[pivot] or _join(plan, pivot)
+                for args in join(everything, delta, marked):
+                    if args in heads:
                         continue
-                    seen.add(atom)
-                    fresh.append(Literal(positive, predicate, args))
+                    heads.add(args)
+                    fresh.append(Literal(True, predicate, args))
                     if len(derived) + len(fresh) > max_derived:
                         raise BudgetExceededError(
                             f"more than {max_derived} derived literals")
         if not fresh:
             break
-        _index(fresh, everything)
+        _index(fresh, probes, everything)
         derived.extend(fresh)
-        delta = _index(fresh, {})
-        first_round = False
+        delta = _index(fresh, probes)
+        marked = {}
     literals = kb.literals + tuple(derived)
     return FactBase(literals, kb.retracted, (rules, len(literals)))
 
 
-def _index(facts, index: dict) -> dict:
-    """Append ``facts`` under (predicate, arity) and (predicate, position, value)."""
-    for fact in facts:
-        index.setdefault((fact.predicate, len(fact.args)), []).append(fact)
-        for position, value in enumerate(fact.args):
-            index.setdefault((fact.predicate, position, value), []).append(fact)
+def _index(facts, probes, index=None) -> dict:
+    """Append the arguments of each positive fact of ``facts`` whose
+    (predicate, arity) ``probes`` holds under that key and under
+    (predicate, arity, position, value) for each position it names."""
+    if index is None:
+        index = defaultdict(list)
+    for positive, predicate, args in facts:
+        arity = len(args)
+        positions = probes.get((predicate, arity))
+        if positions is None or not positive:
+            continue
+        index[predicate, arity].append(args)
+        for position in positions:
+            index[predicate, arity, position, args[position]].append(args)
     return index
-
-
-def _join(steps, bindings, everything, delta=None, pivot=-1):
-    """Extend ``bindings`` by the body literals of ``steps``, left to right.
-
-    The ``pivot`` position takes candidates from the delta index, the
-    others from the all-facts index.  A bucket lists the facts a full
-    scan would visit, in scan order, so keeping the written join order
-    (never reordering by selectivity) keeps discovery order.  Each
-    position is one generator reading the one before it, so nothing is
-    built ahead of the budget check.
-    """
-    for position, step in enumerate(steps):
-        bindings = _matches(step, bindings,
-                            delta if position == pivot else everything)
-    return bindings
-
-
-def _matches(step: _Step, bindings, index):
-    """Extend each binding, in order, by every fact of its bucket in
-    ``index`` that fits ``step``."""
-    predicate, arity, position, slot, check, expect, repeat, first, bind = step
-    shape = (predicate, arity)
-    for binding in bindings:
-        key = shape if position is None else (predicate, position, binding[slot])
-        want = expect(binding)
-        for fact in index.get(key, ()):
-            args = fact.args
-            if (len(args) == arity and (check is None or check(args) == want)
-                    and (repeat is None or repeat(args) == first(args))):
-                yield binding + bind(args)
-
-
-def _join_first(plan: _Plan, everything, new, last):
-    """First-round bindings, left to right, that use a fact from ``new``.
-
-    Every position reads the all-facts index, except ``last``, the last
-    position whose predicate has new facts: a binding that has matched
-    no new fact before it reads only new ones there, since it never gets
-    one later.  New facts end every bucket, so this is the full join's
-    order with the bindings over old facts alone left out.
-    """
-    pairs = [(plan.seed, False)]  # (binding, whether it matched a new fact)
-    for step in plan.steps[:last]:
-        pairs = _marked_matches(step, pairs, everything, new)
-    step = plan.steps[last]
-    bindings = chain.from_iterable(
-        _matches(step, (binding,), everything if used else new)
-        for binding, used in pairs)
-    return _join(plan.steps[last + 1:], bindings, everything)
-
-
-def _marked_matches(step: _Step, pairs, everything, new):
-    """``_matches`` over the all-facts index for (binding, used) pairs,
-    marking as used each extension by a fact from the tail of a bucket
-    that ``new`` holds."""
-    predicate, arity, position, slot, check, expect, repeat, first, bind = step
-    shape = (predicate, arity)
-    for binding, used in pairs:
-        key = shape if position is None else (predicate, position, binding[slot])
-        want = expect(binding)
-        bucket = everything.get(key, ())
-        split = len(bucket) - len(new.get(key, ()))
-        for number, fact in enumerate(bucket):
-            args = fact.args
-            if (len(args) == arity and (check is None or check(args) == want)
-                    and (repeat is None or repeat(args) == first(args))):
-                yield binding + bind(args), used or number >= split
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,20 @@ class TestWritersCheckTheReadBack:
                                   "line 3: reads back as another record")
         assert not path.exists()
 
+    @pytest.mark.parametrize("weights, line", [((1.0, 2.0), 1), ((2.0, 1.0), 2)])
+    def test_two_entries_of_one_key_are_refused(self, tmp_path, weights, line):
+        # the loader would merge them into one entry at the higher weight
+        path = tmp_path / "twice.lex"
+        knife = parse_term("knife")
+        lexicon = Lexicon([LexEntry("Knife", N, knife, w) for w in weights])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DuplicateEntryWarning)
+            with pytest.raises(SourceSyntaxError) as err:
+                save_lexicon(lexicon, path)
+        assert str(err.value) == (f"not written, would not load back: {path}, "
+                                  f"line {line}: reads back as another record")
+        assert not path.exists()
+
     def test_shallow_nesting_is_written(self, tmp_path):
         path = tmp_path / "shallow.lex"
         save_lexicon(Lexicon([LexEntry("A", AP, self.right_nested(40))]), path)

@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from actionccg import parse_term, reasoning
+from actionccg import load_axioms, parse_term, reasoning
+from actionccg.corpus import data_path
 from actionccg.errors import (BudgetExceededError, MalformedEventError,
                               RangeRestrictionError, SourceSyntaxError)
 from actionccg.reasoning import (AxiomRule, FactBase, Literal, assert_event,
@@ -65,6 +66,35 @@ class TestLiterals:
     def test_malformed_literal(self):
         with pytest.raises(SourceSyntaxError):
             parse_literal("on_top(cup")
+
+    def test_args_become_a_tuple(self):
+        literal = Literal(True, "on_top", ["cup", "bowl"])
+        assert literal.args == ("cup", "bowl")
+        assert type(literal.args) is tuple
+
+    def test_equality_and_hash_by_fields(self):
+        one = Literal(True, "on_top", ("cup", "bowl"))
+        assert one == Literal(True, "on_top", ["cup", "bowl"])
+        assert hash(one) == hash(Literal(True, "on_top", ("cup", "bowl")))
+        assert len({one, lit("on_top(cup,bowl)")}) == 1
+        assert one != Literal(False, "on_top", ("cup", "bowl"))
+        assert one != Literal(True, "on_top", ("bowl", "cup"))
+        assert one != Literal(True, "under", ("cup", "bowl"))
+
+    def test_negated_and_atom(self):
+        one = lit("on_top(cup,bowl)")
+        assert one.negated() == lit("!on_top(cup,bowl)")
+        assert one.negated().negated() == one
+        assert one.atom == one.negated().atom == ("on_top", ("cup", "bowl"))
+
+    def test_fact_base_repr(self):
+        kb = kb_of("on_top(cup,bowl)", "!connected(cup,bucket)",
+                   "!on_top(cup,bowl)")
+        assert repr(kb) == (
+            "FactBase(literals=(Literal(positive=False, predicate='connected', "
+            "args=('cup', 'bucket')), Literal(positive=False, predicate="
+            "'on_top', args=('cup', 'bowl'))), retracted=(Literal(positive="
+            "True, predicate='on_top', args=('cup', 'bowl')),))")
 
 
 class TestParseAxiom:
@@ -352,15 +382,63 @@ class TestJoinPlan:
             "axiom r: box(X) & pair(Y,X,X) => tagged(Y,X,kept)",
             "box(a)", "pair(p,a,a)", "pair(q,a,b)", "pair(r,a)",
             "pair(s,a,a,a)", "box(b)", "pair(t,b,b)")
-        assert plan.steps[1].check is not None
+        assert plan.steps[1].check == ((2, 1),)
         assert derived == ["tagged(p,a,kept)", "tagged(t,b,kept)"]
 
     def test_plan_is_built_once_with_the_rule(self, monkeypatch):
-        rule = parse_axiom(AXIOM_TEXTS[0])
+        rules = axioms()
         monkeypatch.setattr(reasoning, "_compile", None)
-        closed = forward_chain(kb_of("contained(bucket,ball)",
-                                     "on_top(box,bucket)"), [rule])
+        compiled = []
+        join_source = reasoning._join_source
+
+        def counted(plan, pivot):
+            compiled.append((id(plan), pivot))
+            return join_source(plan, pivot)
+
+        monkeypatch.setattr(reasoning, "_join_source", counted)
+        kb = kb_of("contained(bucket,ball)", "on_top(box,bucket)")
+        closed = forward_chain(kb, rules)
         assert lit("on_top(box,ball)") in closed.literals
+        first = list(compiled)
+        assert first
+        # later calls, from scratch and resumed, reuse the compiled joins
+        for fact in ("contained(ball,cup)", "divided(bucket)",
+                     "on_top(lid,cup)", "contained(box,lid)"):
+            kb = kb.with_literal(lit(fact))
+            scratch = forward_chain(kb, rules)
+            closed = forward_chain(closed.with_literal(lit(fact)), rules)
+        assert len(set(compiled)) == len(compiled) > len(first)
+        assert len(compiled) <= sum(len(rule.body) for rule in rules)
+        assert scratch.literals == seminaive_chain_literals(kb, rules)
+        assert set(closed.literals) == set(scratch.literals)
+
+    def test_loading_rules_compiles_no_join(self, monkeypatch):
+        monkeypatch.setattr(reasoning, "_join_source", None)
+        rules = load_axioms(data_path("axioms.rules"))
+        assert rules and all(rule.plan.joins == [None] * len(rule.body)
+                             for rule in rules)
+
+    def test_rule_text_never_reaches_the_source(self):
+        # predicate and constant names a generated source could not quote
+        odd = ("in'side", 'a"b', "c\\d", "e\nf", "g)h")
+        rule = AxiomRule("odd", (
+            Literal(True, odd[0], ("X", odd[1])),
+            Literal(True, odd[4], ("X", "Y", odd[2])),
+        ), Literal(True, odd[3], ("Y", odd[3], "X")))
+        facts = [Literal(True, odd[0], (odd[1], odd[1])),
+                 Literal(True, odd[0], (odd[2], odd[1])),
+                 Literal(True, odd[4], (odd[1], odd[0], odd[2])),
+                 Literal(True, odd[4], (odd[2], odd[3], odd[2])),
+                 Literal(True, odd[4], (odd[1], odd[4], odd[1]))]
+        kb = FactBase(tuple(facts))
+        closed = forward_chain(kb, [rule])
+        assert closed.literals == seminaive_chain_literals(kb, [rule])
+        assert closed.literals[len(facts):] == (
+            Literal(True, odd[3], (odd[0], odd[3], odd[1])),
+            Literal(True, odd[3], (odd[3], odd[3], odd[2])))
+        for pivot in range(len(rule.body)):
+            source, _ = reasoning._join_source(rule.plan, pivot)
+            assert not any(name in source for name in odd)
 
     def test_plan_leaves_equality_hash_and_repr_alone(self):
         one, two = parse_axiom(AXIOM_TEXTS[0]), parse_axiom(AXIOM_TEXTS[0])
@@ -372,6 +450,31 @@ class TestJoinPlan:
         with pytest.raises(RangeRestrictionError):
             AxiomRule("loose", (lit("p(a)"),),
                       Literal(True, "q", ("X",)))
+
+    @pytest.mark.parametrize("body, head", [
+        (("p(X)",), "!q(X)"), (("!p(X)",), "q(X)"), (("p(X)", "!r(X)"), "q(X)")])
+    def test_rule_built_directly_rejects_negation(self, body, head):
+        literals = [parse_literal(text, allow_variables=True)
+                    for text in body + (head,)]
+        with pytest.raises(SourceSyntaxError, match="negation is not allowed"):
+            AxiomRule("negated", tuple(literals[:-1]), literals[-1])
+
+    def test_longest_body_compiles_at_every_pivot(self):
+        # one loop per body literal; Python nests at most 20 blocks
+        names = [f"V{i}" for i in range(reasoning.MAX_BODY + 1)]
+        body = tuple(Literal(True, "next", (names[i], names[i + 1]))
+                     for i in range(reasoning.MAX_BODY))
+        rule = AxiomRule("long", body, Literal(True, "far", (names[0], names[-1])))
+        for pivot in range(len(body)):
+            reasoning._join(rule.plan, pivot)
+        hops = [lit(f"next(o{i},o{i + 1})") for i in range(reasoning.MAX_BODY + 1)]
+        # the first round's pivot is the last position, after 19 marked loops
+        kb = forward_chain(FactBase(tuple(hops[:-1])), [rule])
+        assert kb.literals[len(hops) - 1:] == (lit("far(o0,o20)"),)
+        closed = forward_chain(kb.with_literal(hops[-1]), [rule])
+        assert closed.literals[len(kb.literals) + 1:] == (lit("far(o1,o21)"),)
+        with pytest.raises(SourceSyntaxError, match="more than 20 body literals"):
+            AxiomRule("longer", body + body[:1], rule.head)
 
 
 class TestClosedMarker:
