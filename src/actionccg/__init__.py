@@ -24,7 +24,8 @@ from .corpus import (SequenceFile, data_path, load_axioms, load_corpus,
                      load_gold, load_lexicon, load_sequence, save_corpus,
                      save_lexicon, synthesize_corpus)
 from .learning import (TrainConfig, TrainingSample, induce_corpus_entries,
-                       induce_entries, inject_templates, log_likelihood, train)
+                       fit, induce_entries, inject_templates, log_likelihood,
+                       train)
 from .reasoning import (AxiomRule, ConsequenceReport, FactBase, Literal,
                         assert_event, forward_chain, parse_axiom,
                         parse_literal, report)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NoParseError, UnknownTokenError
 from .grammar import (GOAL_CATEGORY, Category, LexEntry, Lexicon, combine,
                       render_category, unary_project)
-from .terms import Term, canonical
+from .terms import (Const, Term, canonical, predications, rename_constants,
+                    stem)
 
 FeatureKey = tuple[str, str, str]
 
@@ -64,11 +67,23 @@ class Derivation:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Highest-probability logical form with its supporting derivations."""
+    """Highest-probability logical form with its supporting derivations.
+
+    The third argument is the derivations, or a function of no arguments
+    that returns them; it is then called when ``derivations`` is first
+    read.  A result from the parse cache finds them that way, by one full
+    parse, so a caller that reads only the form never pays for them.
+    """
 
     logical_form: Term
     probability: float
-    derivations: tuple[Derivation, ...]
+    _derivations: tuple[Derivation, ...] | Callable = field(repr=False,
+                                                            compare=False)
+
+    @cached_property
+    def derivations(self) -> tuple[Derivation, ...]:
+        found = self._derivations
+        return found() if callable(found) else found
 
 
 def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
@@ -160,13 +175,9 @@ def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
     return share
 
 
-def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
-    """Most probable logical form, marginalizing over its derivations.
-
-    Ties break toward the lexicographically smallest canonical rendering,
-    which keeps the choice independent of chart order; shares within a
-    factor of 1 + 1e-12 tie.
-    """
+def _argmax(tokens, lexicon: Lexicon) -> tuple[ParseResult, bool]:
+    """The full parse's result, and whether its form's share beats every
+    other form's by more than the tie margin, so that no name chose it."""
     shares = _form_shares(parse_all(tokens, lexicon), lexicon)
     best_key, best = None, -math.inf
     for key in sorted(shares):
@@ -174,4 +185,102 @@ def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
         if share > best * (1 + 1e-12):
             best_key, best = key, share
     chosen = shares[best_key][1]
-    return ParseResult(chosen[0].semantics, best, tuple(chosen))
+    clear = all(best > share * (1 + 1e-12)
+                for key, (share, _) in shares.items() if key != best_key)
+    return ParseResult(chosen[0].semantics, best, tuple(chosen)), clear
+
+
+def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
+    """Most probable logical form, marginalizing over its derivations.
+
+    Ties break toward the lexicographically smallest canonical rendering,
+    which keeps the choice independent of chart order; shares within a
+    factor of 1 + 1e-12 tie.
+
+    Results are kept in ``lexicon.parse_cache`` by sentence shape (see
+    ``_cache_key``): a sentence that differs from one parsed before only in
+    the names of its bare-constant entries gets that sentence's form with
+    the names put back, and its probability, without a parse.  A form
+    that won within the tie margin, or that uses such a name as a
+    predicate (``every Tomato`` gives ``tomato(x)``), is never reused.
+    """
+    tokens = list(tokens)
+    found = _cache_key(tokens, lexicon)
+    if found is None:
+        return _argmax(tokens, lexicon)[0]
+    key, names = found
+    cached = lexicon.parse_cache.get(key)
+    if cached is None:
+        result, clear = _argmax(tokens, lexicon)
+        form = result.logical_form
+        if clear and not any(name in names for name, _ in predications(form)):
+            lexicon.parse_cache[key] = (form, result.probability, names)
+        else:
+            lexicon.parse_cache[key] = ()
+        return result
+    if not cached:
+        return _argmax(tokens, lexicon)[0]
+    form, probability, old = cached
+    renames = {o: n for o, n in zip(old, names) if o != n}
+    if renames:
+        form = rename_constants(form, renames)
+    return ParseResult(form, probability,
+                       lambda: _argmax(tokens, lexicon)[0].derivations)
+
+
+def _cache_key(tokens, lexicon: Lexicon):
+    """``(key, names)`` for the parse cache, or None when the sentence must
+    be parsed in full.
+
+    The key holds each token's shape (``_token_shape``) and the pattern of
+    which bare-constant entries share a key and which share a name;
+    ``names`` lists those names in order of first occurrence.  Any two
+    sentences of one key parse alike up to those names, with two
+    exceptions the callers handle: the tie-break, which reads names, and
+    predicate names made from a constant.  Names that ``fresh_name``
+    invents are a name of an entry plus digits, so a constant whose stem
+    (``LexEntry.stems``) is a stem of the sentence's other entries could
+    change a choice: such a sentence gets None, as does one with an
+    unknown token.
+    """
+    cache = lexicon.parse_cache
+    shapes, pattern, keys, names = [], [], {}, {}
+    constant_stems, other_stems = set(), set()
+    for token in tokens:
+        found = cache.get(token)
+        if found is None:
+            found = cache[token] = _token_shape(token, lexicon)
+        if not found:
+            return None
+        shape, constants, stems, others = found
+        shapes.append(shape)
+        constant_stems |= stems
+        other_stems |= others
+        for key, name in constants:
+            pattern.append((keys.setdefault(key, len(keys)),
+                            names.setdefault(name, len(names))))
+    if not constant_stems.isdisjoint(other_stems):
+        return None
+    return (tuple(shapes), tuple(pattern)), tuple(names)
+
+
+def _token_shape(token: str, lexicon: Lexicon) -> tuple:
+    """``()`` for an unknown token, else ``(shape, constants, constant
+    stems, other stems)``: the shape lists each entry, a bare-constant one
+    as its category and weight and any other as its key; ``constants``
+    pairs each bare-constant entry's key with its name; the stems are
+    those of the bare-constant entries and of the others."""
+    entries = lexicon.lookup(token)
+    if not entries:
+        return ()
+    shape, constants, stems, others = [], [], set(), set()
+    for entry in entries:
+        key = entry.key
+        if isinstance(entry.semantics, Const):
+            shape.append((key[1], lexicon.weight_of(key)))
+            constants.append((key, entry.semantics.name))
+            stems.add(stem(entry.semantics.name))
+        else:
+            shape.append(key)
+            others |= entry.stems
+    return tuple(shape), constants, stems, others

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from . import corpus as corpus_io
 from .chart import argmax_parse
 from .errors import ActionCCGError
 from .grammar import N
-from .learning import (TrainConfig, induce_corpus_entries, inject_templates,
-                       log_likelihood, train)
+from .learning import TrainConfig, fit, induce_corpus_entries, inject_templates
 from .reasoning import FactBase, assert_event, forward_chain, report
 from .terms import Const, render
 
@@ -99,11 +97,8 @@ def _cmd_learn(args) -> int:
     lexicon = corpus_io.load_lexicon(args.seed)
     before = len(lexicon)
     lexicon = induce_corpus_entries(samples, lexicon)
-    lexicon = train(samples, lexicon, config)
+    lexicon, final = fit(samples, lexicon, config)
     corpus_io.save_lexicon(lexicon, args.out)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        final = log_likelihood(samples, lexicon)
     print(f"entries: {len(lexicon)} ({len(lexicon) - before} learned)")
     print(f"log-likelihood: {final:.6f}")
     print(f"wrote: {args.out}")

@@ -24,12 +24,14 @@ from importlib import resources
 from itertools import zip_longest
 from pathlib import Path
 
-from .errors import ArityConflictError, InvalidConfigError, SourceSyntaxError
+from .errors import (ActionCCGError, ArityConflictError, InvalidConfigError,
+                     SourceSyntaxError)
 from .grammar import LexEntry, Lexicon, parse_category
 from .learning import TrainingSample
 from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
 from .syntax import is_identifier, parse_term, variable_shape_note
-from .terms import Pred, Term, beta_reduce, free_vars, render, rename_constants
+from .terms import (beta_reduce, free_vars, predications, render,
+                    rename_constants)
 
 
 @dataclass(frozen=True)
@@ -45,25 +47,16 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files(__package__).joinpath("data", name)))
 
 
-def _predicates(term: Term):
-    """``(name, arity)`` of each predication in ``term``."""
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Pred):
-            yield node.name, len(node.args)
-        stack.extend(node.kids())
-
-
 def _literals(*literals: Literal):
     return [(literal.predicate, len(literal.args)) for literal in literals]
 
 
 def _parsed(path, parse_line, arities=lambda value: (), text=None):
     """``parse_line(record)`` for each record of ``path`` (or of ``text``, read
-    as that file), in order; a SourceSyntaxError from ``parse_line`` gains the
-    path and line, and so does a logical form too deeply nested to process (a
-    RecursionError, say from reducing a term whose normal form is deep).
+    as that file), in order; any ActionCCGError from ``parse_line`` gains the
+    path and line and keeps its type, and a logical form too deeply nested to
+    process (a RecursionError, say from reducing a term whose normal form is
+    deep) is a SourceSyntaxError with both.
     A file that is not UTF-8 is a SourceSyntaxError on the line of its first
     bad byte.  ``arities(value)`` names the ``(predicate, arity)`` pairs of a
     record; a predicate used with two arities in the file raises
@@ -77,25 +70,25 @@ def _parsed(path, parse_line, arities=lambda value: (), text=None):
             # the bytes before the bad one decode; the "." ends its line
             before = data[:exc.start].decode("utf-8") + "."
             raise SourceSyntaxError(
-                f"byte {data[exc.start]:#04x} is not valid UTF-8",
-                line=len(before.splitlines()), path=str(path)) from None
+                f"byte {data[exc.start]:#04x} is not valid UTF-8").located(
+                    path, len(before.splitlines())) from None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             value = parse_line(line)
-        except SourceSyntaxError as exc:
-            raise SourceSyntaxError(str(exc), line=number, path=str(path)) from None
+        except ActionCCGError as exc:
+            raise exc.located(path, number) from None
         except RecursionError:
-            raise SourceSyntaxError("logical form nested too deeply to process",
-                                    line=number, path=str(path)) from None
+            raise SourceSyntaxError("logical form nested too deeply to "
+                                    "process").located(path, number) from None
         for name, arity in arities(value):
             first, first_line = seen.setdefault(name, (arity, number))
             if first != arity:
                 raise ArityConflictError(
-                    f"{path}, line {number}: predicate {name!r} used with "
-                    f"{arity} arguments but with {first} on line {first_line}")
+                    f"predicate {name!r} used with {arity} arguments but with "
+                    f"{first} on line {first_line}").located(path, number)
         yield value
 
 
@@ -113,7 +106,7 @@ def _write(path, records, line_of, parse_line, arities, header=None,
     text = "\n".join(lines) + "\n"
     try:
         loaded = list(build(_parsed(path, parse_line, arities, text)))
-    except (SourceSyntaxError, ArityConflictError) as exc:
+    except ActionCCGError as exc:
         raise SourceSyntaxError(f"not written, would not load back: {exc}") from None
     for number, (record, back) in enumerate(zip_longest(records, loaded),
                                             start=len(lines) - len(records) + 1):
@@ -154,7 +147,7 @@ def _parse_lexicon_line(line: str) -> LexEntry:
 
 
 # how a line of the file parses, and which predicates the arity audit reads
-_LEXICON = (_parse_lexicon_line, lambda entry: _predicates(entry.semantics))
+_LEXICON = (_parse_lexicon_line, lambda entry: predications(entry.semantics))
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
@@ -185,7 +178,7 @@ def _parse_corpus_line(line: str) -> TrainingSample:
     return TrainingSample(tokens, gold)
 
 
-_CORPUS = (_parse_corpus_line, lambda sample: _predicates(sample.gold))
+_CORPUS = (_parse_corpus_line, lambda sample: predications(sample.gold))
 
 
 def save_corpus(samples, path, header: str | None = None) -> None:

@@ -4,30 +4,33 @@ from __future__ import annotations
 
 
 class ActionCCGError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+
+    ``path`` and ``line`` name the data file record that raised it, once a
+    loader has attached them with ``located``.
+    """
+
+    path: str | None = None
+    line: int | None = None
+
+    def located(self, path, line: int) -> "ActionCCGError":
+        """This error, its message now prefixed with ``path, line N:``."""
+        self.path, self.line = str(path), line
+        self.args = (f"{path}, line {line}: {self}",)
+        return self
 
 
 class SourceSyntaxError(ActionCCGError):
     """Malformed text in a term, category, rule, or data file.
 
-    ``offset`` is a 0-based character offset into the offending string;
-    ``line`` is a 1-based line number when the source is a file.
+    ``offset`` is a 0-based character offset into the offending string.
     """
 
-    def __init__(self, message: str, *, offset: int | None = None,
-                 line: int | None = None, path: str | None = None):
+    def __init__(self, message: str, *, offset: int | None = None):
         self.offset = offset
-        self.line = line
-        self.path = path
-        where = []
-        if path is not None:
-            where.append(str(path))
-        if line is not None:
-            where.append(f"line {line}")
-        prefix = ", ".join(where)
         if offset is not None:
             message = f"{message} (at offset {offset})"
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        super().__init__(message)
 
 
 class NonTerminationError(ActionCCGError):

@@ -27,7 +27,7 @@ from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
 from .syntax import MAX_DEPTH, Tokens, check_depth
 from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
                     And, all_names, beta_reduce, canonical, free_vars,
-                    fresh_name, substitute)
+                    fresh_name, stem, substitute)
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
 
@@ -150,6 +150,13 @@ class LexEntry:
         return (self.token, render_category(self.category),
                 canonical(self.semantics))
 
+    @cached_property
+    def stems(self) -> frozenset[str]:
+        """The ``stem`` of each name in ``semantics``, so also of each name
+        ``fresh_name`` can invent for its binders.  Computed once per entry
+        object, like ``key``."""
+        return frozenset(stem(name) for name in all_names(self.semantics))
+
     def __str__(self) -> str:
         return (f"{self.token} := {render_category(self.category)} : "
                 f"{self.semantics} @ {self.weight!r}")
@@ -171,6 +178,9 @@ class Lexicon:
             self._exact.setdefault(entry.token, []).append(entry)
             self._folded.setdefault(entry.token.lower(), []).append(entry)
         self._weights = {e.key: e.weight for e in self._entries}
+        # ``chart.argmax_parse``'s memo for this lexicon alone; a lexicon
+        # made from this one starts with an empty one
+        self.parse_cache: dict = {}
 
     def __len__(self) -> int:
         return len(self._entries)

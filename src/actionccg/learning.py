@@ -168,8 +168,12 @@ def _fit_row(rows, theta, grad=None) -> float:
 
 def log_likelihood(corpus, lexicon: Lexicon) -> float:
     """Sum over samples of log P(annotation | tokens); skips unusable ones."""
+    return _total(_prepare(corpus, lexicon), lexicon)
+
+
+def _total(prepared, lexicon: Lexicon) -> float:
     theta = {e.key: e.weight for e in lexicon}
-    return sum(_fit_row(rows, theta) for rows in _prepare(corpus, lexicon))
+    return sum(_fit_row(rows, theta) for rows in prepared)
 
 
 def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexicon:
@@ -186,7 +190,20 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
     pass that leaves every weight bit for bit unchanged (``-0.0`` to
     ``0.0`` is a change), since every later pass would repeat it exactly.
     """
+    return _descend(_prepare(corpus, lexicon), lexicon, config)
+
+
+def fit(corpus, lexicon: Lexicon,
+        config: TrainConfig = TrainConfig()) -> tuple[Lexicon, float]:
+    """``train``, and the trained lexicon's ``log_likelihood`` on ``corpus``,
+    from one parse of each sample: training changes only weights, and the
+    charts do not depend on them."""
     prepared = _prepare(corpus, lexicon)
+    trained = _descend(prepared, lexicon, config)
+    return trained, _total(prepared, trained)
+
+
+def _descend(prepared, lexicon: Lexicon, config: TrainConfig) -> Lexicon:
     if not prepared:
         raise DegenerateCorpusError("no training sample could be parsed "
                                     "to its annotation")
@@ -210,4 +227,3 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
         if not moved:
             break
     return lexicon.with_weights(theta)
-

@@ -200,6 +200,16 @@ def all_names(term: Term) -> frozenset[str]:
     return frozenset(out)
 
 
+def predications(term: Term):
+    """``(name, arity)`` of each predication in ``term``."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Pred):
+            yield node.name, len(node.args)
+        stack.extend(node.kids())
+
+
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     """First of ``base``, ``base1``, ``base2``, ... not in ``avoid``.
 
@@ -212,6 +222,12 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     while f"{base}{i}" in avoid:
         i += 1
     return f"{base}{i}"
+
+
+def stem(name: str) -> str:
+    """``name`` less its trailing digits: every name that ``fresh_name``
+    returns has the stem of its ``base``."""
+    return name.rstrip("0123456789")
 
 
 def substitute(term: Term, var: str, replacement: Term) -> Term:

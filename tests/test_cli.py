@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from actionccg import cli
+from actionccg import cli, learning
 from actionccg.corpus import data_path, load_corpus, load_lexicon
 from actionccg.syntax import MAX_DEPTH
 
@@ -137,6 +137,20 @@ class TestLearnCommand:
         assert lines[0] == "entries: 38 (8 learned)"
         assert lines[1] == "log-likelihood: 0.000000"
         assert lines[2] == f"wrote: {out_path}"
+
+    def test_parses_each_sample_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        parse_all = learning.parse_all
+        monkeypatch.setattr(learning, "parse_all",
+                            lambda tokens, lexicon: calls.append(tokens)
+                            or parse_all(tokens, lexicon))
+        code, out, _ = run(capsys, "learn",
+                           "--corpus", str(data_path("table1.corpus")),
+                           "--seed", str(data_path("seed.lex")),
+                           "--out", str(tmp_path / "fit.lex"))
+        assert code == 0
+        assert len(calls) == len(load_corpus(data_path("table1.corpus"))) == 8
+        assert out.splitlines()[1] == "log-likelihood: 0.000000"
 
     def test_written_lexicon_reloads(self, learned_lexicon_path):
         lexicon = load_lexicon(learned_lexicon_path)
@@ -473,6 +487,26 @@ class TestErrorPaths:
                              "Knife Cut Cup")
         assert code == 1 and out == ""
         assert err == "error: no normal form within 10000 steps\n"
+
+    @pytest.mark.parametrize("name, text, command", [
+        ("omega.lex", "Knife := N : knife\nFoo := N : (\\x.x x)(\\x.x x)\n",
+         "parse"),
+        ("unbound.rules", "axiom ok: p(X) => q(X)\naxiom bad: p(X) => q(X,W)\n",
+         "reason"),
+    ])
+    def test_a_record_error_names_its_file_and_line(self, capsys, tmp_path,
+                                                    name, text, command):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        if command == "parse":
+            argv = ["parse", "--lexicon", str(path), "Knife"]
+        else:
+            argv = ["reason", "--lexicon", str(data_path("basic.lex")),
+                    "--sequence", str(data_path("casestudy1.seq")),
+                    "--axioms", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}, line 2: ") and err.count("\n") == 1
 
     def test_variable_shaped_constant_is_one_diagnostic_line(self, capsys,
                                                              tmp_path):

@@ -11,7 +11,8 @@ from actionccg.corpus import (data_path, load_axioms, load_corpus, load_gold,
                               load_lexicon, load_sequence, save_corpus,
                               save_lexicon, synthesize_corpus)
 from actionccg.errors import (ActionCCGError, ArityConflictError,
-                              DuplicateEntryWarning, SourceSyntaxError)
+                              DuplicateEntryWarning, NonTerminationError,
+                              RangeRestrictionError, SourceSyntaxError)
 from actionccg.grammar import AP, N, LexEntry, Lexicon, parse_category
 from actionccg.learning import TrainingSample, induce_corpus_entries
 from actionccg.terms import And, App, Const, canonical, free_vars
@@ -96,6 +97,15 @@ class TestLoadLexicon:
         assert err.value.line == 2
         assert str(err.value) == (f"{path}, line 2: logical form nested too "
                                   "deeply to process")
+
+    def test_a_divergent_entry_keeps_its_error_type_and_gains_path_and_line(
+            self, tmp_path):
+        path = write(tmp_path / "omega.lex", "Knife := N : knife\n"
+                                             "Foo := N : (\\x.x x)(\\x.x x)\n")
+        with pytest.raises(NonTerminationError) as err:
+            load_lexicon(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+        assert str(err.value) == f"{path}, line 2: no normal form within 10000 steps"
 
     def test_arity_conflict_rejected(self, tmp_path):
         text = ("A := AP : moved(box_one)\n"
@@ -330,6 +340,15 @@ class TestLoadAxioms:
         with pytest.raises(SourceSyntaxError) as err:
             load_axioms(write(tmp_path / "bad.rules", text))
         assert err.value.line == 2
+
+    def test_a_rule_error_keeps_its_type_and_gains_path_and_line(self, tmp_path):
+        path = write(tmp_path / "unbound.rules", "axiom ok: p(X) => q(X)\n"
+                                                 "axiom bad: p(X) => q(X,W)\n")
+        with pytest.raises(RangeRestrictionError) as err:
+            load_axioms(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+        assert str(err.value) == (f"{path}, line 2: axiom 'bad': head "
+                                  "variables W never occur in the body")
 
 
 class TestShippedDataIsClean:
