@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import corpus as corpus_io
@@ -27,16 +28,23 @@ from .terms import Const, render
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ActionCCGError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # a logical form, say a loaded entry's reduct, too deep to walk
-        print("error: logical form nested too deeply to process",
-              file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.handler(args)
+        except (ActionCCGError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except RecursionError:
+            # a logical form, say a loaded entry's reduct, too deep to walk
+            print("error: logical form nested too deeply to process",
+                  file=sys.stderr)
+            return 1
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One ``warning:`` line per warning, without Python's source quote."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,6 +188,9 @@ def _cmd_eval(args) -> int:
                      sum(1 for l in gold if l in closed)))
     total = ("total", sum(r[1] for r in rows), sum(r[2] for r in rows),
              sum(r[3] for r in rows))
+    if not total[1]:
+        print(f"error: no gold literals under {args.gold}", file=sys.stderr)
+        return 1
     if args.format == "tsv":
         for row in rows + [total]:
             print("\t".join(str(v) for v in row))

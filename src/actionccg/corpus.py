@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import zip_longest
 from pathlib import Path
 
-from .errors import (ActionCCGError, ArityConflictError, InvalidConfigError,
-                     SourceSyntaxError)
+from .errors import (ActionCCGError, ArityConflictError, DuplicateEntryWarning,
+                     InvalidConfigError, SourceSyntaxError)
 from .grammar import LexEntry, Lexicon, parse_category
 from .learning import TrainingSample
 from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
@@ -92,20 +94,18 @@ def _parsed(path, parse_line, arities=lambda value: (), text=None):
         yield value
 
 
-def _write(path, records, line_of, parse_line, arities, header=None,
-           build=list) -> None:
+def _write(path, records, line_of, parse_line, arities, header=None) -> None:
     """Write ``line_of(record)`` for each of ``records`` to ``path``, after
     ``header`` as a comment, once the text is seen to load back as a file of
-    ``parse_line`` records that ``build`` makes into ``records`` again, as
-    the loader would; if it would not, write nothing and raise a
-    SourceSyntaxError naming the first line that does not, with the
-    loader's message when it fails."""
+    ``parse_line`` records equal to ``records``; if it would not, write
+    nothing and raise a SourceSyntaxError naming the first line that does
+    not, with the loader's message when it fails."""
     records = list(records)
     lines = [f"# {header}"] if header else []
     lines += [line_of(record) for record in records]
     text = "\n".join(lines) + "\n"
     try:
-        loaded = list(build(_parsed(path, parse_line, arities, text)))
+        loaded = list(_parsed(path, parse_line, arities, text))
     except ActionCCGError as exc:
         raise SourceSyntaxError(f"not written, would not load back: {exc}") from None
     for number, (record, back) in enumerate(zip_longest(records, loaded),
@@ -117,9 +117,15 @@ def _write(path, records, line_of, parse_line, arities, header=None,
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read a lexicon; duplicate entries merge with a warning."""
+    """Read a lexicon; each key repeated in the file warns once with
+    DuplicateEntryWarning, and its entries merge as ``Lexicon`` merges."""
     entries = list(_parsed(path, *_LEXICON))
-    return Lexicon().with_entries(entries, warn_duplicates=True)
+    for (token, category, semantics), count in Counter(
+            entry.key for entry in entries).items():
+        if count > 1:
+            warnings.warn(f"duplicate entry for {token!r}: {category} : "
+                          f"{semantics}", DuplicateEntryWarning, stacklevel=2)
+    return Lexicon(entries)
 
 
 def _parse_lexicon_line(line: str) -> LexEntry:
@@ -151,9 +157,7 @@ _LEXICON = (_parse_lexicon_line, lambda entry: predications(entry.semantics))
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write ``lexicon``; one that holds two entries of one key is refused,
-    since loading merges them."""
-    _write(path, lexicon, str, *_LEXICON, build=Lexicon().with_entries)
+    _write(path, lexicon, str, *_LEXICON)
 
 
 def load_corpus(path) -> list[TrainingSample]:
@@ -214,13 +218,17 @@ def synthesize_corpus(base, objects, replicas: int = 15,
 
     The first replica keeps the original pairing; the rest draw distinct
     subject and patient names from ``objects`` with a seeded generator,
-    so the output is reproducible byte for byte.  ``replicas`` below 1
-    raises InvalidConfigError.
+    so the output is reproducible byte for byte.  ``replicas`` below 1, or
+    above 1 with fewer than two names in ``objects``, raises
+    InvalidConfigError.
     """
     if replicas < 1:
         raise InvalidConfigError(f"replicas must be at least 1, got {replicas}")
+    pool = list(objects)
+    if replicas > 1 and len(pool) < 2:
+        raise InvalidConfigError(
+            f"replicas above 1 need at least two object names, got {len(pool)}")
     rng = random.Random(seed)
-    pool = [name for name in objects]
     out: list[TrainingSample] = []
     for sample in base:
         subject_tok, action_tok, patient_tok = sample.tokens

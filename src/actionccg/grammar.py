@@ -18,12 +18,10 @@ implication (or is conjoined when there is none).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import (DuplicateEntryWarning, NonFiniteWeightError,
-                     SourceSyntaxError)
+from .errors import NonFiniteWeightError, SourceSyntaxError
 from .syntax import MAX_DEPTH, Tokens, check_depth
 from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
                     And, all_names, beta_reduce, canonical, free_vars,
@@ -134,12 +132,19 @@ def _category_part(toks: Tokens, depth: int) -> tuple[Category, int, int]:
 
 @dataclass(frozen=True)
 class LexEntry:
-    """One lexicon line: token, category, semantics, weight."""
+    """One lexicon line: token, category, semantics, weight.  An infinite
+    or NaN weight raises NonFiniteWeightError."""
 
     token: str
     category: Category
     semantics: Term
     weight: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.weight):
+            raise NonFiniteWeightError(
+                f"non-finite weight {self.weight!r} for {self.token} := "
+                f"{self.key[1]} : {self.key[2]}")
 
     @cached_property
     def key(self) -> tuple[str, str, str]:
@@ -163,21 +168,27 @@ class LexEntry:
 
 
 class Lexicon:
-    """Immutable token-to-entries map.
+    """Immutable token-to-entries map holding one entry per ``key``.
 
-    Lookup tries the exact token first and falls back to a
-    case-insensitive match, so detector output such as ``Chopping`` finds
-    an entry learned from the lower-case corpus token ``chopping``.
+    Entries of one key collapse into the first of them, at the highest
+    weight among them.  Lookup tries the exact token first and falls back
+    to a case-insensitive match, so detector output such as ``Chopping``
+    finds an entry learned from the lower-case corpus token ``chopping``.
     """
 
     def __init__(self, entries=()):
-        self._entries: tuple[LexEntry, ...] = tuple(entries)
+        merged: dict[tuple[str, str, str], LexEntry] = {}
+        for entry in entries:
+            first = merged.setdefault(entry.key, entry)
+            if entry.weight > first.weight:
+                merged[entry.key] = replace(first, weight=entry.weight)
+        self._entries: tuple[LexEntry, ...] = tuple(merged.values())
         self._exact: dict[str, list[LexEntry]] = {}
         self._folded: dict[str, list[LexEntry]] = {}
         for entry in self._entries:
             self._exact.setdefault(entry.token, []).append(entry)
             self._folded.setdefault(entry.token.lower(), []).append(entry)
-        self._weights = {e.key: e.weight for e in self._entries}
+        self._weights = {key: e.weight for key, e in merged.items()}
         # ``chart.argmax_parse``'s memo for this lexicon alone; a lexicon
         # made from this one starts with an empty one
         self.parse_cache: dict = {}
@@ -200,40 +211,14 @@ class Lexicon:
     def weight_of(self, key: tuple[str, str, str]) -> float:
         return self._weights[key]
 
-    def with_entries(self, new_entries, warn_duplicates: bool = False) -> "Lexicon":
-        """Extend with ``new_entries``, merging duplicates.
-
-        Entries agreeing on token, category, and semantics up to renaming
-        collapse into one, keeping the higher weight.
-        """
-        merged: dict[tuple[str, str, str], LexEntry] = {
-            e.key: e for e in self._entries}
-        order = list(self._entries)
-        for entry in new_entries:
-            old = merged.get(entry.key)
-            if old is None:
-                merged[entry.key] = entry
-                order.append(entry)
-                continue
-            if warn_duplicates:
-                warnings.warn(f"duplicate entry for {entry.token!r}: "
-                              f"{entry.key[1]} : {entry.key[2]}",
-                              DuplicateEntryWarning, stacklevel=2)
-            if entry.weight > old.weight:
-                merged[entry.key] = replace(old, weight=entry.weight)
-        return Lexicon(merged[e.key] for e in order)
+    def with_entries(self, new_entries) -> "Lexicon":
+        """This lexicon extended with ``new_entries``, merged by key."""
+        return Lexicon((*self._entries, *new_entries))
 
     def with_weights(self, weights: dict[tuple[str, str, str], float]) -> "Lexicon":
         """Reweight entries by key; an infinite or NaN weight is an error."""
-        entries = []
-        for e in self._entries:
-            weight = weights.get(e.key, e.weight)
-            if not math.isfinite(weight):
-                raise NonFiniteWeightError(
-                    f"non-finite weight {weight!r} for {e.token} := "
-                    f"{e.key[1]} : {e.key[2]}")
-            entries.append(replace(e, weight=weight))
-        return Lexicon(entries)
+        return Lexicon(replace(e, weight=weights.get(e.key, e.weight))
+                       for e in self._entries)
 
 
 def unary_project(category: Category, semantics: Term):

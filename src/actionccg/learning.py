@@ -115,16 +115,14 @@ def induce_entries(sample: TrainingSample, lexicon: Lexicon) -> list[LexEntry]:
 
 def induce_corpus_entries(corpus, lexicon: Lexicon) -> Lexicon:
     """Run induction over a whole corpus, skipping failed samples."""
+    new = []
     for sample in corpus:
         try:
-            new = induce_entries(sample, lexicon)
+            new += induce_entries(sample, lexicon)
         except InductionFailureError as exc:
             warnings.warn(f"skipping {' '.join(sample.tokens)}: {exc}",
                           SkippedSampleWarning, stacklevel=2)
-            continue
-        if new:
-            lexicon = lexicon.with_entries(new)
-    return lexicon
+    return lexicon.with_entries(new)
 
 
 def _prepare(corpus, lexicon: Lexicon):

@@ -63,17 +63,13 @@ def is_rule_variable(name: str) -> bool:
     return name[:1].isupper()
 
 
-def parse_literal(text: str, *, allow_negation: bool = True,
-                  allow_variables: bool = False) -> Literal:
+def parse_literal(text: str, *, allow_variables: bool = False) -> Literal:
     """Parse ``pred(a,b)`` or ``!pred(a,b)``."""
     m = _LITERAL_RE.match(text)
     if m is None:
         raise SourceSyntaxError(f"malformed literal {text.strip()!r}",
                                 offset=0)
     sign, name, argtext = m.groups()
-    if sign and not allow_negation:
-        raise SourceSyntaxError(
-            f"negation is not allowed here: {text.strip()!r}", offset=0)
     args = tuple(a.strip() for a in argtext.split(",")) if argtext.strip() else ()
     if not args:
         raise SourceSyntaxError(f"literal {name!r} has no arguments", offset=0)
@@ -247,9 +243,9 @@ def parse_axiom(text: str) -> AxiomRule:
     name, body_text, head_text = m.groups()
     if not body_text:
         raise SourceSyntaxError(f"axiom {name!r} has an empty body", offset=0)
-    body = tuple(parse_literal(part, allow_negation=False, allow_variables=True)
+    body = tuple(parse_literal(part, allow_variables=True)
                  for part in body_text.split("&"))
-    head = parse_literal(head_text, allow_negation=False, allow_variables=True)
+    head = parse_literal(head_text, allow_variables=True)
     return AxiomRule(name, body, head)
 
 

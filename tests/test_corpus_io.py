@@ -11,8 +11,9 @@ from actionccg.corpus import (data_path, load_axioms, load_corpus, load_gold,
                               load_lexicon, load_sequence, save_corpus,
                               save_lexicon, synthesize_corpus)
 from actionccg.errors import (ActionCCGError, ArityConflictError,
-                              DuplicateEntryWarning, NonTerminationError,
-                              RangeRestrictionError, SourceSyntaxError)
+                              DuplicateEntryWarning, InvalidConfigError,
+                              NonTerminationError, RangeRestrictionError,
+                              SourceSyntaxError)
 from actionccg.grammar import AP, N, LexEntry, Lexicon, parse_category
 from actionccg.learning import TrainingSample, induce_corpus_entries
 from actionccg.terms import And, App, Const, canonical, free_vars
@@ -61,6 +62,19 @@ class TestLoadLexicon:
             lex = load_lexicon(write(tmp_path / "dup.lex", text))
         assert len(lex) == 1
         assert list(lex)[0].weight == 2.0
+
+    def test_each_repeated_key_warns_once(self, tmp_path):
+        text = ("Knife := N : knife @ 1.0\nBowl := N : bowl\n"
+                "Knife := N : knife @ 3.0\nBowl := N : bowl\n"
+                "Knife := N : knife @ 2.0\nCup := N : cup\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lex = load_lexicon(write(tmp_path / "dup.lex", text))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (DuplicateEntryWarning, "duplicate entry for 'Knife': N : knife"),
+            (DuplicateEntryWarning, "duplicate entry for 'Bowl': N : bowl")]
+        assert [(e.token, e.weight) for e in lex] == [
+            ("Knife", 3.0), ("Bowl", 0.0), ("Cup", 0.0)]
 
     def test_error_carries_line_and_path(self, tmp_path):
         path = write(tmp_path / "bad.lex", "Knife := N : knife\nBowl = N : bowl\n")
@@ -229,19 +243,17 @@ class TestWritersCheckTheReadBack:
                                   "line 3: reads back as another record")
         assert not path.exists()
 
-    @pytest.mark.parametrize("weights, line", [((1.0, 2.0), 1), ((2.0, 1.0), 2)])
-    def test_two_entries_of_one_key_are_refused(self, tmp_path, weights, line):
-        # the loader would merge them into one entry at the higher weight
+    @pytest.mark.parametrize("weights", [(1.0, 2.0), (2.0, 1.0)])
+    def test_one_key_written_once(self, tmp_path, weights):
+        # the lexicon itself merges the two entries at the higher weight
         path = tmp_path / "twice.lex"
         knife = parse_term("knife")
         lexicon = Lexicon([LexEntry("Knife", N, knife, w) for w in weights])
+        assert list(lexicon) == [LexEntry("Knife", N, knife, 2.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", DuplicateEntryWarning)
-            with pytest.raises(SourceSyntaxError) as err:
-                save_lexicon(lexicon, path)
-        assert str(err.value) == (f"not written, would not load back: {path}, "
-                                  f"line {line}: reads back as another record")
-        assert not path.exists()
+            save_lexicon(lexicon, path)
+            assert list(load_lexicon(path)) == list(lexicon)
 
     def test_shallow_nesting_is_written(self, tmp_path):
         path = tmp_path / "shallow.lex"
@@ -414,6 +426,16 @@ class TestSynthesizeCorpus:
         out = synthesize_corpus(base, ["hand", "brush"], replicas=2, seed=0)
         subject = out[1].tokens[0]
         assert out[1].gold == parse_term(f"hiding({subject},{subject})")
+
+    @pytest.mark.parametrize("objects", [[], ["knife"]])
+    def test_replicas_need_two_object_names(self, table1_samples, objects):
+        with pytest.raises(InvalidConfigError) as err:
+            synthesize_corpus(table1_samples, objects, replicas=2)
+        assert str(err.value) == ("replicas above 1 need at least two object "
+                                  f"names, got {len(objects)}")
+        # one replica draws no names
+        out = synthesize_corpus(table1_samples, objects, replicas=1)
+        assert out == table1_samples
 
     def test_deterministic_for_a_seed(self, table1_samples, seed_lexicon):
         objects = [e.semantics.name for e in seed_lexicon]

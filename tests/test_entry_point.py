@@ -37,6 +37,17 @@ def test_exit_codes_and_output_of_python_m_actionccg(tmp_path):
     assert "usage:" in done.stderr
 
 
+def test_a_warning_is_one_stderr_line_outside_pytest(tmp_path):
+    """The interpreter's own warning filters and display, not pytest's."""
+    lexicon = tmp_path / "twice.lex"
+    lexicon.write_text(data_path("basic.lex").read_text(encoding="utf-8")
+                       + "Knife := N : knife\n", encoding="utf-8")
+    done = actionccg("parse", "--lexicon", str(lexicon), "Knife Frobbing")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "warning: duplicate entry for 'Knife': N : knife\n"
+               "error: no parse for: Knife Frobbing\n")
+
+
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     """Set and dict order must never reach the output: parse keys, cache
     keys and rule indexes all hash strings."""

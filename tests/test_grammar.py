@@ -1,17 +1,19 @@
 """Categories, lexicon behavior, and the combination rules."""
 
+import warnings
+
 import pytest
 
 from actionccg import parse_term
+from actionccg.chart import argmax_parse, parse_all
 from actionccg.corpus import load_lexicon
-from actionccg.errors import (DuplicateEntryWarning, NonFiniteWeightError,
-                              SourceSyntaxError)
+from actionccg.errors import NonFiniteWeightError, SourceSyntaxError
 from actionccg.grammar import (AP, GOAL_CATEGORY, N, NP, Atom, Backward,
                                Forward, LexEntry, Lexicon, apply_argument,
                                combine, parse_category, render_category,
                                unary_project)
 from actionccg.syntax import MAX_DEPTH
-from actionccg.terms import Lam, alpha_eq, is_beta_normal
+from actionccg.terms import Const, Lam, alpha_eq, is_beta_normal
 
 
 class TestCategories:
@@ -182,8 +184,9 @@ class TestLexicon:
     def test_duplicate_merge_keeps_higher_weight(self):
         a = self.entry("Cut", r"(AP\NP)/NP", r"\x.\y.cut(x,y)", 0.5)
         b = self.entry("Cut", r"(AP\NP)/NP", r"\u.\v.cut(u,v)", 1.5)
-        with pytest.warns(DuplicateEntryWarning):
-            lex = Lexicon([a]).with_entries([b], warn_duplicates=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lex = Lexicon([a]).with_entries([b])
         assert len(lex) == 1
         assert list(lex)[0].weight == 1.5
 
@@ -219,6 +222,31 @@ class TestLexicon:
         entry = self.entry("Knife", "N", "knife")
         with pytest.raises(NonFiniteWeightError, match="Knife"):
             Lexicon([entry]).with_weights({entry.key: weight})
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"),
+                                        float("nan")])
+    def test_entry_rejects_non_finite_weight(self, weight):
+        # building the entry is the error, so no parse meets the weight (a
+        # NaN one once made argmax_parse fail with a bare KeyError)
+        with pytest.raises(NonFiniteWeightError) as err:
+            argmax_parse(["A"], Lexicon([LexEntry("A", AP, Const("a"), weight)]))
+        assert str(err.value) == f"non-finite weight {weight!r} for A := AP : 'a"
+
+    def test_duplicate_key_parses_once_at_the_higher_weight(self):
+        lex = Lexicon([self.entry("A", "AP", "moved(box)", w) for w in (1.0, 2.0)])
+        derivations = parse_all(["A"], lex)
+        assert len(derivations) == 1
+        assert derivations[0].score(lex) == 2.0
+        assert argmax_parse(["A"], lex).probability == 1.0
+
+    def test_merge_keeps_the_first_entry_and_its_place(self):
+        first = self.entry("Cut", r"(AP\NP)/NP", r"\x.\y.cut(x,y)", 0.5)
+        bowl = self.entry("Bowl", "N", "bowl")
+        renamed = self.entry("Cut", r"(AP\NP)/NP", r"\u.\v.cut(u,v)", 1.5)
+        lex = Lexicon([first, bowl, renamed])
+        assert [(e.token, e.semantics, e.weight) for e in lex] == [
+            ("Cut", first.semantics, 1.5), ("Bowl", bowl.semantics, 0.0)]
+        assert lex.weight_of(first.key) == 1.5
 
     def test_key_is_computed_once_per_entry(self):
         entry = self.entry("Knife", "N", "knife")

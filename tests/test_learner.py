@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from actionccg import learning, parse_term
 from actionccg.chart import argmax_parse, parse_all, parse_probability
+from actionccg.corpus import synthesize_corpus
 from actionccg.errors import (DegenerateCorpusError, InductionFailureError,
                               InvalidConfigError, NonFiniteWeightError,
                               SkippedSampleWarning)
@@ -92,6 +93,30 @@ class TestInduceEntries:
             "chopping", "cutting", "stirring", "take_down", "put_on_top",
             "hiding", "pushing", "uncover"}
         assert all(e.category == ACTION_CATEGORY for e in learned)
+
+    @staticmethod
+    def per_sample_induction(corpus, lexicon):
+        """Corpus induction as one lexicon per induced entry, each sample
+        induced against the lexicon grown so far."""
+        for s in corpus:
+            try:
+                new = induce_entries(s, lexicon)
+            except InductionFailureError:
+                continue
+            if new:
+                lexicon = lexicon.with_entries(new)
+        return lexicon
+
+    @pytest.mark.parametrize("replicas", [1, 15])
+    def test_one_build_equals_the_per_sample_build(self, seed_lexicon,
+                                                   table1_samples, replicas):
+        objects = [e.semantics.name for e in seed_lexicon]
+        corpus = synthesize_corpus(table1_samples, objects, replicas=replicas)
+        once = induce_corpus_entries(corpus, seed_lexicon)
+        assert list(once) == list(self.per_sample_induction(corpus,
+                                                            seed_lexicon))
+        # replicas rename constants only, so they induce the same 8 keys
+        assert len(once) == len(seed_lexicon) + 8
 
 
 class TestInjectTemplates:

@@ -67,7 +67,7 @@ def random_lexicon(rng: random.Random) -> Lexicon:
     if rng.random() < 0.2:
         # a noun phrase that is not a bare constant
         entries.append(LexEntry(rng.choice(NOUNS), NP, parse_term("pair(bowl,lid)")))
-    return Lexicon(entries).with_entries([])
+    return Lexicon(entries)
 
 
 def random_sentence(rng: random.Random) -> list[str]:

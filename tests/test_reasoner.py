@@ -55,10 +55,6 @@ class TestLiterals:
         with pytest.raises(SourceSyntaxError):
             parse_literal("on_top(X,bowl)")
 
-    def test_negation_rejected_when_disallowed(self):
-        with pytest.raises(SourceSyntaxError):
-            parse_literal("!moved(box)", allow_negation=False)
-
     def test_zero_arity_rejected(self):
         with pytest.raises(SourceSyntaxError):
             parse_literal("raining()")
