@@ -171,9 +171,10 @@ class Lexicon:
     """Immutable token-to-entries map holding one entry per ``key``.
 
     Entries of one key collapse into the first of them, at the highest
-    weight among them.  Lookup tries the exact token first and falls back
-    to a case-insensitive match, so detector output such as ``Chopping``
-    finds an entry learned from the lower-case corpus token ``chopping``.
+    weight among them.  Lookup ignores case: a token finds every entry
+    whose token is the same in lower case, so detector output such as
+    ``Chopping`` finds an entry learned from the corpus token
+    ``chopping``, and an entry ``Knife`` hides no entry ``knife``.
     """
 
     def __init__(self, entries=()):
@@ -183,10 +184,8 @@ class Lexicon:
             if entry.weight > first.weight:
                 merged[entry.key] = replace(first, weight=entry.weight)
         self._entries: tuple[LexEntry, ...] = tuple(merged.values())
-        self._exact: dict[str, list[LexEntry]] = {}
         self._folded: dict[str, list[LexEntry]] = {}
         for entry in self._entries:
-            self._exact.setdefault(entry.token, []).append(entry)
             self._folded.setdefault(entry.token.lower(), []).append(entry)
         self._weights = {key: e.weight for key, e in merged.items()}
         # ``chart.argmax_parse``'s memo for this lexicon alone; a lexicon
@@ -200,10 +199,7 @@ class Lexicon:
         return iter(self._entries)
 
     def lookup(self, token: str) -> tuple[LexEntry, ...]:
-        found = self._exact.get(token)
-        if found is None:
-            found = self._folded.get(token.lower(), [])
-        return tuple(found)
+        return tuple(self._folded.get(token.lower(), ()))
 
     def has_token(self, token: str) -> bool:
         return bool(self.lookup(token))

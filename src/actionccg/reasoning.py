@@ -85,9 +85,8 @@ def parse_literal(text: str, *, allow_variables: bool = False) -> Literal:
 class _Step(NamedTuple):
     """One body literal of a join plan, fixed when the rule is built."""
 
-    predicate: str
-    arity: int
-    position: int | None  # argument whose bucket is probed; None: (predicate, arity)
+    key: tuple  # the index key read: (predicate, arity[, position])
+    position: int | None  # argument whose bucket is probed; None: scan all
     slot: int  # the binding slot that holds the probed argument's value
     check: tuple[tuple[int, int], ...]  # (argument, slot) of the others already known
     bind: tuple[tuple[int, int], ...]  # (argument, slot) of each new variable
@@ -156,8 +155,9 @@ def _compile(rule: AxiomRule) -> _Plan:
             else:
                 checks.append((position, slots[arg]))
         position, slot = key or (None, 0)
-        steps.append(_Step(literal.predicate, len(literal.args), position, slot,
-                           tuple(checks), tuple(binds)))
+        shape = (literal.predicate, len(literal.args))
+        steps.append(_Step(shape if position is None else shape + (position,), position,
+                           slot, tuple(checks), tuple(binds)))
     loose = [a for a in rule.head.args if a not in slots]
     if loose:
         raise RangeRestrictionError(
@@ -178,57 +178,99 @@ def _join(plan: _Plan, pivot: int) -> Callable:
 
 
 def _join_source(plan: _Plan, pivot: int) -> tuple[str, dict]:
-    """Python source of ``join(everything, new, marked)`` for ``pivot``,
-    and the values it binds.
+    """Python source of ``join(everything, new, first, heads, out, room)``
+    for ``pivot``, and the values it binds.
 
-    The join is one ``for`` loop per body literal, nested in written
-    order, over the literal's bucket in ``everything``; the innermost
-    yields the head's arguments.  The ``pivot`` loop reads ``new``
-    instead, unless a loop before it matched a fact from the tail of its
-    bucket that ``marked`` holds.  Predicates, constants and bucket keys
-    enter as arguments of ``bind``, so the source holds only generated
-    names (``v`` and a slot for a value, ``k``/``p`` and a step for a
-    key/predicate) and integer positions.
+    The join is a plain function of one ``for`` loop per body literal,
+    nested in written order.  A loop reads its literal's bucket: the
+    ``(predicate, arity)`` list of an ``_index``, or the list that the
+    ``(predicate, arity, position)`` family of the index holds under the
+    probed value.  Each family is looked up once per call, so a probe
+    inside a loop is one ``dict.get``.  The ``pivot`` loop reads ``new``
+    and the later loops ``everything``.  The loops before the pivot read
+    ``everything`` too; in the ``first`` round, the pivot reads all facts
+    once one of them has matched a fact from the tail of its bucket that
+    ``new`` holds, and in a later round each of them stops where that
+    tail starts, so a binding with a new fact before the pivot is left to
+    the earlier pivot, which is joined first.  The innermost loop checks
+    the head's arguments against ``heads``, adds a new one to ``heads``
+    and appends it to ``out``, and returns once ``out`` holds more than
+    ``room``.  Predicates, constants and index keys enter as arguments of
+    ``bind``, so the source holds only generated names (``v`` and a slot
+    for a value, ``x`` and a position for an argument to check, and a
+    letter and a step: ``k`` for a key, ``a``/``n`` for what ``everything``
+    /``new`` hold under it, ``b`` a bucket, ``s`` a tail start, ``j`` a
+    loop counter) and integer positions.
     """
     values = {f"v{slot}": value for slot, value in enumerate(plan.seed)}
-    lines = ["def join(everything, new, marked):",
-             " eget, nget, mget = everything.get, new.get, marked.get"]
-    tails = []  # for each loop before the pivot: whether its fact is new
+    values["e"] = {}
+    lines = ["def join(everything, new, first, heads, out, room):",
+             " put, add = out.append, heads.add"]
+    lookups = []  # for each step: what turns its ``a``/``n`` into its bucket
     for i, step in enumerate(plan.steps):
-        pad = " " * (i + 1)
+        values[f"k{i}"] = step.key
         if step.position is None:
-            key, values[f"k{i}"] = f"k{i}", (step.predicate, step.arity)
+            read, probe = f".get(k{i}, ())", ""
         elif step.slot < len(plan.seed):
-            key, values[f"k{i}"] = f"k{i}", (step.predicate, step.arity, step.position,
-                                             plan.seed[step.slot])
+            read, probe = f".get(k{i}, e).get(v{step.slot}, ())", ""
         else:
-            values[f"p{i}"] = step.predicate
-            key = f"(p{i}, {step.arity}, {step.position}, v{step.slot})"
-        names = ["_"] * step.arity
-        for position, slot in step.bind:
-            names[position] = f"v{slot}"
-        for position, _ in step.check:
-            names[position] = f"t{position}"
-        target = ", ".join(names) + ","
-        if i < pivot:
-            lines += [f"{pad}q{i} = {key}", f"{pad}b{i} = eget(q{i}, ())",
-                      f"{pad}s{i} = len(b{i}) - len(mget(q{i}, ()))",
-                      f"{pad}for n{i}, ({target}) in enumerate(b{i}):"]
-            tails.append(f"n{i} >= s{i}")
-        elif i == pivot and tails:
-            lines.append(f"{pad}for {target} in (eget if {' or '.join(tails)} "
-                         f"else nget)({key}, ()):")
-        else:
-            lines.append(f"{pad}for {target} in {'nget' if i == pivot else 'eget'}"
-                         f"({key}, ()):")
-        if step.check:
-            tests = " or ".join(f"t{p} != v{slot}" for p, slot in step.check)
-            lines.append(f"{pad} if {tests}: continue")
-    lines.append(" " * (len(plan.steps) + 1) + "yield "
-                 + "".join(f"v{slot}," for slot in plan.head))
+            read, probe = f".get(k{i}, e)", f".get(v{step.slot}, ())"
+        if i != pivot or pivot:
+            lines.append(f" a{i} = everything{read}")
+        if i <= pivot:
+            lines.append(f" n{i} = new{read}")
+        lookups.append(probe)
+    if pivot:
+        lines.append(" if first:")
+        lines += _nest(plan, pivot, lookups, first=True, depth=2)
+        lines.append(" else:")
+        lines += _nest(plan, pivot, lookups, first=False, depth=2)
+    else:
+        lines += _nest(plan, pivot, lookups, first=False, depth=1)
     lines.append("return join")
     body = "\n".join(" " + line for line in lines)
     return f"def bind({', '.join(values)}):\n{body}\n", values
+
+
+def _nest(plan: _Plan, pivot: int, lookups, *, first: bool, depth: int) -> list[str]:
+    """The nested loops of one join, ``depth`` spaces in (``_join_source``)."""
+    lines = []
+    tails = []  # in the first round, for each loop before the pivot: its fact is new
+    for i, step in enumerate(plan.steps):
+        pad = " " * (depth + i)
+        names = ["_"] * step.key[1]
+        for position, slot in step.bind:
+            names[position] = f"v{slot}"
+        for position, _ in step.check:
+            names[position] = f"x{position}"
+        target = ", ".join(names) + ","
+        every, new = f"a{i}{lookups[i]}", f"n{i}{lookups[i]}"
+        if i < pivot:
+            if lookups[i]:  # look the bucket up once
+                lines.append(f"{pad}b{i} = {every}")
+                every = f"b{i}"
+            if first:
+                lines += [f"{pad}s{i} = len({every}) - len({new})",
+                          f"{pad}for j{i}, ({target}) in enumerate({every}):"]
+                tails.append(f"j{i} >= s{i}")
+            else:
+                lines.append(f"{pad}for {target} in {every}[:len({every}) - len({new})]:")
+        elif i == pivot:
+            if tails:
+                new = f"(a{i} if {' or '.join(tails)} else n{i}){lookups[i]}"
+            lines.append(f"{pad}for {target} in {new}:")
+        else:
+            lines.append(f"{pad}for {target} in {every}:")
+        if step.check:
+            tests = " or ".join(f"x{p} != v{slot}" for p, slot in step.check)
+            lines.append(f"{pad} if {tests}: continue")
+    pad = " " * (depth + len(plan.steps))
+    lines += [f"{pad}h = " + "".join(f"v{slot}," for slot in plan.head),
+              f"{pad}if h not in heads:",
+              f"{pad} add(h)",
+              f"{pad} put(h)",
+              f"{pad} if len(out) > room: return"]
+    return lines
 
 
 def parse_axiom(text: str) -> AxiomRule:
@@ -337,28 +379,36 @@ def assert_event(form: Term, kb: FactBase) -> FactBase:
 def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBase:
     """Close ``kb`` under ``rules``; derived facts keep discovery order.
 
-    Semi-naive evaluation: each round only explores rule instantiations
-    that use at least one fact new to that round; joins probe an
-    ``_index`` of all facts and one of the new facts.  The first round
-    joins each rule once, with the last body position whose predicate
-    has new facts as pivot, which is the full join when no part of
-    ``kb`` is marked closed.  Later rounds join once per body position
-    that can take one of the previous round's facts, that position
-    reading only those.
+    Semi-naive evaluation (Bancilhon & Ramakrishnan, SIGMOD 1986): each
+    round offers each rule instantiation that uses a fact new to that
+    round once, and no other.  Joins read an ``_index`` of all facts and
+    one of the new facts; an index holds, for each probed (predicate,
+    arity), the list of its facts' arguments, and for each probed
+    argument position a dict from the value there to such a list, each
+    list in fact order.  The first round joins each rule once, with the
+    last body position whose predicate has new facts as pivot, which is
+    the full join when no part of ``kb`` is marked closed.  Later rounds
+    join once per body position that can take one of the previous
+    round's facts, in written order: that position reads only those
+    facts, the positions before it only older ones, and the positions
+    after it all facts.  Each binding thus comes once, at its first
+    position that holds a new fact, and the heads come in the order they
+    would if it came at every such position.
 
     Each rule carries a join plan made when it was built
     (``AxiomRule.plan``).  Body literals are joined in written order, so
     the plan fixes for each one the bucket it probes (its first constant
     or earlier-bound argument, else its predicate and arity), the
     arguments left to check and the arguments that bind new variables.
-    On first use for a pivot position, the plan is compiled into a
-    generator function of nested ``for`` loops, one per body literal,
-    that yields the head's arguments (``_join_source``); it is cached on
-    the plan, so loading rules compiles nothing.  No rule text reaches
-    the generated source: predicates and constants enter as bound
-    values.  A head becomes a ``Literal`` only once it is known to be
-    new, and a runaway rule hits the budget before its cross product
-    exists.
+    On first use for a pivot position, the plan is compiled into a plain
+    function of nested ``for`` loops, one per body literal, that checks
+    each head against the known and derived heads of its predicate and
+    collects the new ones (``_join_source``); it is cached on the plan,
+    so loading rules compiles nothing.  No rule text reaches the
+    generated source: predicates and constants enter as bound values.  A
+    head becomes a ``Literal`` only once it is known to be new, and a
+    join returns as soon as its new heads pass the budget, so a runaway
+    rule stops before its cross product exists.
 
     The first round's new facts are those after the prefix that
     ``kb.closed`` marks as closed under these same ``rules``, or every
@@ -381,19 +431,18 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     closed_rules, closed = kb.closed
     if closed_rules != rules:
         closed = 0
-    # only the buckets that some body literal probes
-    probes: dict[tuple[str, int], set[int]] = {}
+    # only the buckets that some body literal probes: for each shape, each
+    # probed position with its family's key
+    probes: dict[tuple[str, int], tuple[tuple[int, tuple], ...]] = {}
     for rule in rules:
-        for step in rule.plan.steps:
-            positions = probes.setdefault((step.predicate, step.arity), set())
-            if step.position is not None:
-                positions.add(step.position)
+        for step, shape in zip(rule.plan.steps, rule.plan.shapes):
+            families = probes.setdefault(shape, ())
+            if step.position is not None and (step.position, step.key) not in families:
+                probes[shape] = families + ((step.position, step.key),)
     everything = _index(kb.literals, probes)
     # with nothing closed every fact is new, so both joins share one index
     delta = _index(kb.literals[closed:], probes) if closed else everything
-    # the first round's pivot reads new facts only after old ones before it;
-    # later rounds count nothing before the pivot as new
-    marked = delta
+    first = True
     derived: list[Literal] = []
     while True:
         fresh: list[Literal] = []
@@ -401,44 +450,54 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
             plan = rule.plan
             # only positions whose predicate has new facts can use one
             pivots = [i for i, shape in enumerate(plan.shapes) if shape in delta]
-            if marked:  # the first round: one join, at the last pivot
+            if first:  # one join, at the last pivot
                 pivots = pivots[-1:]
-            predicate = rule.head.predicate
-            heads = seen[predicate]
+            heads, out = seen[rule.head.predicate], []
+            room = max_derived - len(derived) - len(fresh)
             for pivot in pivots:
                 join = plan.joins[pivot] or _join(plan, pivot)
-                for args in join(everything, delta, marked):
-                    if args in heads:
-                        continue
-                    heads.add(args)
-                    fresh.append(Literal(True, predicate, args))
-                    if len(derived) + len(fresh) > max_derived:
-                        raise BudgetExceededError(
-                            f"more than {max_derived} derived literals")
+                join(everything, delta, first, heads, out, room)
+                if len(out) > room:
+                    raise BudgetExceededError(
+                        f"more than {max_derived} derived literals")
+            if out:
+                fresh += [Literal(True, rule.head.predicate, args) for args in out]
         if not fresh:
             break
         _index(fresh, probes, everything)
         derived.extend(fresh)
         delta = _index(fresh, probes)
-        marked = {}
+        first = False
     literals = kb.literals + tuple(derived)
     return FactBase(literals, kb.retracted, (rules, len(literals)))
 
 
 def _index(facts, probes, index=None) -> dict:
     """Append the arguments of each positive fact of ``facts`` whose
-    (predicate, arity) ``probes`` holds under that key and under
-    (predicate, arity, position, value) for each position it names."""
+    (predicate, arity) ``probes`` holds to the list under that key, and,
+    for each position ``probes`` names, to the list under the argument
+    there in the dict under (predicate, arity, position)."""
     if index is None:
-        index = defaultdict(list)
+        index = {}
     for positive, predicate, args in facts:
-        arity = len(args)
-        positions = probes.get((predicate, arity))
+        shape = predicate, len(args)
+        positions = probes.get(shape)
         if positions is None or not positive:
             continue
-        index[predicate, arity].append(args)
-        for position in positions:
-            index[predicate, arity, position, args[position]].append(args)
+        scan = index.get(shape)
+        if scan is None:
+            index[shape] = [args]
+            for position, key in positions:
+                index[key] = {args[position]: [args]}
+            continue
+        scan.append(args)
+        for position, key in positions:
+            family = index[key]
+            value = args[position]
+            if value in family:
+                family[value].append(args)
+            else:
+                family[value] = [args]
     return index
 
 

@@ -196,12 +196,21 @@ class TestLexicon:
         lex = Lexicon([a]).with_entries([b])
         assert len(lex.lookup("Cut")) == 2
 
-    def test_lookup_prefers_exact_case(self):
-        upper = self.entry("Cut", r"(AP\NP)/NP", r"\x.\y.cut(x,y)")
-        lower = self.entry("cut", r"(AP\NP)/NP", r"\x.\y.slice(x,y)")
-        lex = Lexicon([upper, lower])
-        assert lex.lookup("Cut") == (upper,)
-        assert lex.lookup("cut") == (lower,)
+    def test_lookup_finds_every_casing(self):
+        # an induced action entry ``Knife`` hides no noun entry ``knife``
+        noun = self.entry("knife", "N", "knife")
+        action = self.entry("Knife", r"(AP\NP)/NP", r"\x.\y.knife(x,y)")
+        lex = Lexicon([noun, self.entry("carrot", "N", "carrot"),
+                       self.entry("cut", r"(AP\NP)/NP", r"\x.\y.cut(x,y)"),
+                       action])
+        assert lex.lookup("Knife") == lex.lookup("knife") == (noun, action)
+        assert lex.lookup("KNIFE") == (noun, action)
+
+        def forms(tokens):
+            return [str(d.semantics) for d in parse_all(tokens, lex)]
+
+        assert forms(["Knife", "cut", "carrot"]) == forms(["knife", "cut", "carrot"])
+        assert forms(["Knife", "cut", "carrot"])
 
     def test_lookup_falls_back_case_insensitively(self):
         lex = Lexicon([self.entry("Chopping", r"(AP\NP)/NP",

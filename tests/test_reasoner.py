@@ -297,6 +297,41 @@ class TestForwardChain:
         with pytest.raises(BudgetExceededError):
             forward_chain(kb, axioms(), max_derived=10)
 
+    @pytest.mark.parametrize("facts, size", [
+        # round 1 derives both facts, one per rule
+        (("contained(bucket,ball)", "on_top(box,bucket)", "divided(bucket)"), 2),
+        # round 1 derives 11 of the 66 containments, later rounds the rest
+        (tuple(f"contained(c{i},c{i + 1})" for i in range(12)), 66),
+    ], ids=["first-round", "later-round"])
+    def test_budget_boundary(self, facts, size):
+        kb = kb_of(*facts)
+        want = seminaive_chain_literals(kb, axioms())
+        assert len(want) - len(kb.literals) == size
+        assert forward_chain(kb, axioms(), max_derived=size).literals == want
+        with pytest.raises(BudgetExceededError,
+                           match=f"more than {size - 1} derived literals"):
+            forward_chain(kb, axioms(), max_derived=size - 1)
+
+    @pytest.mark.parametrize("depth", range(2, 31))
+    def test_deep_chain_keeps_discovery_order(self, depth, shipped_axioms):
+        # containers nested ``depth`` deep, a lid on the outermost one, and
+        # the outermost one cut: the later rounds have large deltas, where a
+        # loop before the pivot stops at its bucket's new facts
+        facts = [lit(f"contained(o{i + 1},o{i})") for i in range(depth)]
+        facts += [lit(f"on_top(lid,o{depth})"), lit(f"divided(o{depth})")]
+        kb = FactBase(tuple(facts))
+        closed = forward_chain(kb, shipped_axioms)
+        assert closed.literals == seminaive_chain_literals(kb, shipped_axioms)
+        assert len(closed.literals) == (depth + 1) * depth // 2 + 2 * (depth + 1)
+        resumed = FactBase()
+        for fact in facts:
+            before = resumed.with_literal(fact)
+            resumed = forward_chain(before, shipped_axioms)
+            scratch = forward_chain(FactBase(before.literals), shipped_axioms)
+            assert resumed.literals == scratch.literals
+        assert resumed.literals == seminaive_chain_literals(
+            FactBase(before.literals), shipped_axioms)
+
     def test_derived_literals_keep_discovery_order(self):
         kb = kb_of("contained(bucket,ball)", "on_top(box,bucket)",
                    "divided(bucket)")
@@ -380,6 +415,38 @@ class TestJoinPlan:
             "pair(s,a,a,a)", "box(b)", "pair(t,b,b)")
         assert plan.steps[1].check == ((2, 1),)
         assert derived == ["tagged(p,a,kept)", "tagged(t,b,kept)"]
+
+    def test_each_binding_is_offered_once(self, monkeypatch):
+        # 13 nested containers give C(13,3) = 286 bindings (Z, Y, X); a
+        # later round that offered a binding at every position holding a
+        # new fact made 329 checks
+        checks = []
+
+        class Heads(set):
+            def __contains__(self, args):
+                checks.append(args)
+                return super().__contains__(args)
+
+        compile_join = reasoning._join
+
+        def counted(plan, pivot):
+            join = compile_join(plan, pivot)
+
+            def counting(everything, new, first, heads, out, room):
+                probe = Heads(heads)
+                join(everything, new, first, probe, out, room)
+                heads |= probe
+
+            plan.joins[pivot] = counting
+            return counting
+
+        monkeypatch.setattr(reasoning, "_join", counted)
+        rule = parse_axiom(AXIOM_TEXTS[1])
+        kb = kb_of(*(f"contained(c{i},c{i + 1})" for i in range(12)))
+        closed = forward_chain(kb, [rule])
+        assert len(checks) == 286
+        assert closed.literals == seminaive_chain_literals(kb, [rule])
+        assert len(closed.literals) == 13 * 12 // 2
 
     def test_plan_is_built_once_with_the_rule(self, monkeypatch):
         rules = axioms()
