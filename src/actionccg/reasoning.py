@@ -27,6 +27,7 @@ MAX_DERIVED = 100_000
 # most 20 statically nested blocks
 MAX_BODY = 20
 
+_new = tuple.__new__  # builds a Literal from a ready tuple, unchecked
 _LITERAL_RE = re.compile(rf"\s*(!?)\s*({IDENT})\s*\(([^()]*)\)\s*\Z")
 _AXIOM_RE = re.compile(rf"\s*axiom\s+({IDENT})\s*:\s*(.*?)\s*=>\s*(.*?)\s*\Z")
 
@@ -47,10 +48,13 @@ class Literal(_LiteralFields):
     __slots__ = ()
 
     def __new__(cls, positive: bool, predicate: str, args) -> "Literal":
-        return tuple.__new__(cls, (positive, predicate, tuple(args)))
+        if isinstance(args, str):
+            raise TypeError(f"Literal args must be a sequence of names, "
+                            f"not the string {args!r}")
+        return _new(cls, (positive, predicate, tuple(args)))
 
     def negated(self) -> "Literal":
-        return Literal(not self.positive, self.predicate, self.args)
+        return _new(Literal, (not self.positive, self.predicate, self.args))
 
     atom = property(itemgetter(1, 2), doc="``(predicate, args)``")
 
@@ -291,21 +295,53 @@ def parse_axiom(text: str) -> AxiomRule:
     return AxiomRule(name, body, head)
 
 
+class _Work:
+    """The working set of the fact base whose ``literals`` it holds."""
+
+    __slots__ = ("literals", "members", "unmerged", "rules", "probes", "seen", "index", "pending")
+
+    def __init__(self, literals: tuple[Literal, ...]):
+        self.literals, self.members, self.unmerged = literals, set(literals), []
+        self.rules = None  # the rest comes with the first forward_chain
+
+    def hand(self, literals: tuple[Literal, ...], retracted) -> "FactBase":
+        kb = FactBase(literals, retracted)
+        object.__setattr__(kb, "work", self)
+        self.literals = literals
+        return kb
+
+    def unindex(self, fact: Literal) -> None:
+        """Take a retracted fact out of the join index."""
+        _, predicate, args = fact
+        shape = predicate, len(args)
+        if shape in self.probes:
+            self.index[shape].remove(args)
+            for position, key in self.probes[shape]:
+                self.index[key][args[position]].remove(args)
+
+
 @dataclass(frozen=True)
 class FactBase:
     """Insertion-ordered set of ground literals plus a retraction log.
 
-    ``closed`` is ``(rules, count)``: the first ``count`` literals are
-    closed under ``rules``, so every rule instantiation over their
-    positive facts has a head that is a positive or negative literal of
-    the fact base.  ``forward_chain`` sets it and ``with_literal`` keeps
-    it, lowering ``count`` when a retraction removes a literal inside
-    that prefix.  It takes no part in equality, hashing or ``repr``.
+    An immutable value with a hidden working set that takes no part in
+    equality, hashing or ``repr``: the member set and, once chained, the
+    known heads per predicate (both signs), the join index for the rules
+    last chained under and the positive facts added since.  ``with_literal``,
+    ``assert_event`` and ``forward_chain`` update it in place, without a
+    lock, and hand it to the fact base they return.  It holds the literal
+    tuple it describes, so any other fact base that reaches it (an older
+    value used again, a copy) rebuilds its own once.
     """
 
     literals: tuple[Literal, ...] = ()
     retracted: tuple[Literal, ...] = ()
-    closed: tuple = field(default=((), 0), compare=False, repr=False)
+    work: _Work | None = field(default=None, init=False, compare=False, repr=False)
+
+    def _work(self) -> _Work:
+        if self.work is None or self.work.literals is not self.literals:
+            object.__setattr__(self, "work", _Work(self.literals))
+        return self.work
 
     def with_literal(self, literal: Literal) -> "FactBase":
         """Record one ground literal, resolving any contradiction.
@@ -313,20 +349,35 @@ class FactBase:
         A negative literal retracts the positive fact it denies; a
         positive literal simply replaces a stale negative record.
         """
-        present = set(self.literals)
-        if literal in present:
-            return self
-        contrary = literal.negated()
-        literals = self.literals
-        retracted = self.retracted
-        rules, closed = self.closed
-        if contrary in present:
-            position = literals.index(contrary)
-            literals = literals[:position] + literals[position + 1:]
-            closed -= position < closed
-            if contrary.positive:
-                retracted = retracted + (contrary,)
-        return FactBase(literals + (literal,), retracted, (rules, closed))
+        return self._with((literal,))
+
+    def _with(self, new) -> "FactBase":
+        """``with_literal`` for each of ``new`` in turn, as one fact base."""
+        work = self._work()
+        members, chained = work.members, work.rules is not None
+        members.update(work.unmerged)  # what forward_chain derived since
+        work.unmerged.clear()
+        literals, retracted, grown = list(self.literals), self.retracted, False
+        for literal in new:
+            if literal in members:
+                continue
+            contrary = literal.negated()
+            if contrary in members:
+                members.remove(contrary)
+                literals.remove(contrary)
+                if contrary.positive:
+                    retracted += (contrary,)
+                    # a fact not waiting for the next chain is in the index
+                    if chained and work.pending.pop(contrary, True):
+                        work.unindex(contrary)
+            members.add(literal)
+            literals.append(literal)
+            grown = True
+            if chained:
+                work.seen[literal.predicate].add(literal.args)
+                if literal.positive:
+                    work.pending[literal] = False
+        return work.hand(tuple(literals), retracted) if grown else self
 
 
 def _event_literals(form: Term) -> list[Literal]:
@@ -366,14 +417,12 @@ def _ground_atom(pred: Pred) -> Literal:
             raise MalformedEventError(f"event atom {pred} is not ground"
                                       + (f"; variables: {note}" if note else ""))
         args.append(arg.name)
-    return Literal(True, pred.name, tuple(args))
+    return _new(Literal, (True, pred.name, tuple(args)))
 
 
 def assert_event(form: Term, kb: FactBase) -> FactBase:
     """Ingest one parsed event: action atom first, then its consequences."""
-    for literal in _event_literals(form):
-        kb = kb.with_literal(literal)
-    return kb
+    return kb._with(_event_literals(form))
 
 
 def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBase:
@@ -387,7 +436,7 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     argument position a dict from the value there to such a list, each
     list in fact order.  The first round joins each rule once, with the
     last body position whose predicate has new facts as pivot, which is
-    the full join when no part of ``kb`` is marked closed.  Later rounds
+    the full join when every fact is new.  Later rounds
     join once per body position that can take one of the previous
     round's facts, in written order: that position reads only those
     facts, the positions before it only older ones, and the positions
@@ -410,38 +459,40 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     join returns as soon as its new heads pass the budget, so a runaway
     rule stops before its cross product exists.
 
-    The first round's new facts are those after the prefix that
-    ``kb.closed`` marks as closed under these same ``rules``, or every
-    fact when the marker names other rules.  Chaining the result again
-    after a few ``with_literal`` calls thus starts from what they added.
-    The result is marked closed under ``rules`` in full and equals, tuple
-    for tuple, the result of chaining ``FactBase(kb.literals,
-    kb.retracted)``, which has no marker: the closed prefix alone
-    derives nothing new, and new facts sit at the end of every bucket.
+    The working set of ``kb`` (see ``FactBase``) keeps the index and the
+    known heads from one call to the next.  Under the rules it was last
+    chained under, the first round's new facts are the positive facts added
+    since; under other rules, or when ``kb`` rebuilt its working set, every
+    fact is new.  The result takes the working set over and equals, tuple for
+    tuple, the result of chaining ``FactBase(kb.literals, kb.retracted)``: the
+    facts chained before derive nothing new, and new facts end every bucket.
 
     Raises BudgetExceededError once more than ``max_derived`` new facts
     appear, which catches runaway rule sets.
     """
     rules = tuple(rules)
-    # a head is new unless it is a known fact or a retracted (negative) one:
-    # the event outranks the rules
-    seen: dict[str, set[tuple[str, ...]]] = defaultdict(set)
-    for _, predicate, args in kb.literals:
-        seen[predicate].add(args)
-    closed_rules, closed = kb.closed
-    if closed_rules != rules:
-        closed = 0
-    # only the buckets that some body literal probes: for each shape, each
-    # probed position with its family's key
-    probes: dict[tuple[str, int], tuple[tuple[int, tuple], ...]] = {}
-    for rule in rules:
-        for step, shape in zip(rule.plan.steps, rule.plan.shapes):
-            families = probes.setdefault(shape, ())
-            if step.position is not None and (step.position, step.key) not in families:
-                probes[shape] = families + ((step.position, step.key),)
-    everything = _index(kb.literals, probes)
-    # with nothing closed every fact is new, so both joins share one index
-    delta = _index(kb.literals[closed:], probes) if closed else everything
+    work = kb._work()
+    work.literals = None  # so that kb rebuilds it if this call fails
+    if work.rules != rules:
+        # a head is new unless it is a known fact or a retracted (negative)
+        # one: the event outranks the rules
+        work.seen = defaultdict(set)
+        for _, predicate, args in kb.literals:
+            work.seen[predicate].add(args)
+        # only the buckets that some body literal probes: for each shape,
+        # each probed position with its family's key
+        probes: dict[tuple[str, int], tuple[tuple[int, tuple], ...]] = {}
+        for rule in rules:
+            for step, shape in zip(rule.plan.steps, rule.plan.shapes):
+                families = probes.setdefault(shape, ())
+                if step.position is not None and (step.position, step.key) not in families:
+                    probes[shape] = families + ((step.position, step.key),)
+        work.rules, work.probes, work.index = rules, probes, {}
+        everything = delta = _index(kb.literals, probes, work.index)  # all facts are new
+    else:
+        probes, everything = work.probes, work.index
+        delta = _index(work.pending, probes, everything, {})
+    work.pending = {}
     first = True
     derived: list[Literal] = []
     while True:
@@ -452,7 +503,7 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
             pivots = [i for i, shape in enumerate(plan.shapes) if shape in delta]
             if first:  # one join, at the last pivot
                 pivots = pivots[-1:]
-            heads, out = seen[rule.head.predicate], []
+            heads, out = work.seen[rule.head.predicate], []
             room = max_derived - len(derived) - len(fresh)
             for pivot in pivots:
                 join = plan.joins[pivot] or _join(plan, pivot)
@@ -460,45 +511,34 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
                 if len(out) > room:
                     raise BudgetExceededError(
                         f"more than {max_derived} derived literals")
-            if out:
-                fresh += [Literal(True, rule.head.predicate, args) for args in out]
+            fresh += [_new(Literal, (True, rule.head.predicate, args)) for args in out]
         if not fresh:
             break
-        _index(fresh, probes, everything)
-        derived.extend(fresh)
-        delta = _index(fresh, probes)
+        derived += fresh
+        delta = _index(fresh, probes, everything, {})
         first = False
-    literals = kb.literals + tuple(derived)
-    return FactBase(literals, kb.retracted, (rules, len(literals)))
+    work.unmerged += derived
+    return work.hand(kb.literals + tuple(derived), kb.retracted)
 
 
-def _index(facts, probes, index=None) -> dict:
+def _index(facts, probes, *indexes) -> dict:
     """Append the arguments of each positive fact of ``facts`` whose
-    (predicate, arity) ``probes`` holds to the list under that key, and,
-    for each position ``probes`` names, to the list under the argument
-    there in the dict under (predicate, arity, position)."""
-    if index is None:
-        index = {}
+    (predicate, arity) ``probes`` holds to the list under that key in each of
+    ``indexes``, and, for each position ``probes`` names, to the list under the
+    argument there in the dict under (predicate, arity, position); returns the last."""
     for positive, predicate, args in facts:
         shape = predicate, len(args)
         positions = probes.get(shape)
-        if positions is None or not positive:
-            continue
-        scan = index.get(shape)
-        if scan is None:
-            index[shape] = [args]
-            for position, key in positions:
-                index[key] = {args[position]: [args]}
-            continue
-        scan.append(args)
-        for position, key in positions:
-            family = index[key]
-            value = args[position]
-            if value in family:
-                family[value].append(args)
-            else:
-                family[value] = [args]
-    return index
+        if positions is not None and positive:
+            for index in indexes:
+                scan = index.get(shape)
+                if scan is None:
+                    scan = index[shape] = []
+                    index.update((key, {}) for _, key in positions)
+                scan.append(args)
+                for position, key in positions:
+                    index[key].setdefault(args[position], []).append(args)
+    return indexes[-1]
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,24 @@
 """Fact base maintenance, event ingestion, and forward chaining."""
 
+import copy
 import random
 import tracemalloc
+from dataclasses import replace
+from functools import reduce
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from actionccg import load_axioms, parse_term, reasoning
 from actionccg.corpus import data_path
 from actionccg.errors import (BudgetExceededError, MalformedEventError,
                               RangeRestrictionError, SourceSyntaxError)
-from actionccg.reasoning import (AxiomRule, FactBase, Literal, assert_event,
-                                 forward_chain, parse_axiom, parse_literal,
-                                 report)
+from actionccg.reasoning import (MAX_DERIVED, AxiomRule, FactBase, Literal,
+                                 assert_event, forward_chain, parse_axiom,
+                                 parse_literal, report)
+from actionccg.terms import And, Const, Implies, Not, Pred
 
 from oracles import naive_chain_atoms, seminaive_chain_literals
 
@@ -54,6 +61,11 @@ class TestLiterals:
     def test_variables_rejected_in_ground_context(self):
         with pytest.raises(SourceSyntaxError):
             parse_literal("on_top(X,bowl)")
+
+    def test_bare_string_args_refused(self):
+        with pytest.raises(TypeError, match="not the string 'box'"):
+            Literal(True, "moved", "box")
+        assert Literal(True, "moved", ["box"]).args == ("box",)
 
     def test_zero_arity_rejected(self):
         with pytest.raises(SourceSyntaxError):
@@ -541,23 +553,32 @@ class TestJoinPlan:
 
 
 class TestClosedMarker:
-    """``forward_chain`` marks its result closed; later calls resume."""
+    """``forward_chain`` leaves its index with its result; later calls
+    resume from the facts added since."""
 
-    def test_marker_leaves_equality_hash_and_repr_alone(self):
+    def test_working_set_leaves_equality_hash_and_repr_alone(self):
         closed = forward_chain(kb_of("contained(bucket,ball)",
                                      "on_top(box,bucket)"), axioms())
         plain = FactBase(closed.literals, closed.retracted)
-        assert closed.closed != plain.closed
+        assert closed.work is not None and plain.work is None
         assert closed == plain
         assert hash(closed) == hash(plain)
         assert repr(closed) == repr(plain)
         assert len({closed, plain}) == 1
 
-    def test_result_is_closed_in_full(self):
-        rules = axioms()
-        closed = forward_chain(kb_of("contained(bucket,ball)"), rules)
-        assert closed.closed == (tuple(rules), len(closed.literals))
-        assert FactBase().closed == ((), 0)
+    def test_rule_switch_rechains_everything(self):
+        kb = kb_of("contained(bucket,ball)", "on_top(box,bucket)",
+                   "contained(ball,cup)")
+        containment = [parse_axiom(AXIOM_TEXTS[1])]
+        closed = forward_chain(kb, containment)
+        assert [str(l) for l in closed.literals[len(kb.literals):]] == [
+            "contained(bucket,cup)"]
+        for rules in (axioms(), containment, [], axioms()):
+            closed = forward_chain(closed, rules)
+            scratch = forward_chain(FactBase(closed.literals, closed.retracted), rules)
+            assert closed.literals == scratch.literals
+        assert lit("on_top(box,ball)") in closed.literals
+        assert lit("on_top(box,cup)") in closed.literals
 
     def test_new_fact_joins_facts_already_closed(self):
         closed = forward_chain(kb_of("on_top(box,bucket)"), axioms())
@@ -572,18 +593,139 @@ class TestClosedMarker:
                               axioms())
         assert lit("on_top(box,ball)") in grown.literals
 
-    def test_retraction_inside_the_prefix_lowers_the_count(self):
-        closed = forward_chain(kb_of("contained(bucket,ball)",
-                                     "!on_top(box,bucket)"), axioms())
-        assert closed.closed[1] == 2
-        restored = closed.with_literal(lit("on_top(box,bucket)"))
-        assert restored.closed[1] == 1
-        assert lit("on_top(box,ball)") in forward_chain(restored, axioms()).literals
+    def test_retraction_inside_the_chained_prefix_then_reassertion(self):
+        rules = axioms()
+        closed = forward_chain(kb_of("contained(bucket,ball)", "moved(box)"), rules)
+        # the retracted fact leaves the index, so nothing joins it
+        kb = closed.with_literal(lit("!contained(bucket,ball)"))
+        kb = forward_chain(kb.with_literal(lit("on_top(box,bucket)")), rules)
+        assert lit("on_top(box,ball)") not in kb.literals
+        restored = forward_chain(kb.with_literal(lit("contained(bucket,ball)")), rules)
+        assert restored.literals[-2:] == (lit("contained(bucket,ball)"),
+                                          lit("on_top(box,ball)"))
+        assert restored.retracted == (lit("contained(bucket,ball)"),)
+        plain = FactBase(kb.literals, kb.retracted)
+        scratch = forward_chain(plain.with_literal(lit("contained(bucket,ball)")), rules)
+        assert restored.literals == scratch.literals
 
     def test_marker_for_other_rules_is_ignored(self):
         unclosed = forward_chain(kb_of("contained(bucket,ball)",
                                        "on_top(box,bucket)"), [])
         assert lit("on_top(box,ball)") in forward_chain(unclosed, axioms()).literals
+
+
+class TestIncrementalWork:
+    """Asserting and chaining event by event costs each fact a bounded
+    amount of indexing and no member-set rebuild."""
+
+    def work_per_episode(self, monkeypatch, events):
+        """Facts handed to ``_index`` plus literals handed to ``set()``."""
+        counts = {"indexed": 0, "set": 0}
+        index = reasoning._index
+
+        def counted_index(facts, *rest):
+            facts = list(facts)
+            counts["indexed"] += len(facts)
+            return index(facts, *rest)
+
+        def counted_set(*args):
+            made = set(*args)
+            counts["set"] += len(made)
+            return made
+
+        monkeypatch.setattr(reasoning, "_index", counted_index)
+        monkeypatch.setattr(reasoning, "set", counted_set, raising=False)
+        observed = chained = FactBase()
+        for i in range(events):
+            form = parse_term(f"hiding(lid_{i},cup_{i}) -> contained(lid_{i},cup_{i})"
+                              f" & divided(lid_{i})")
+            observed = assert_event(form, observed)
+            chained = forward_chain(assert_event(form, chained), axioms())
+        assert set(chained.literals) == set(seminaive_chain_literals(observed, axioms()))
+        monkeypatch.undo()
+        return counts
+
+    def test_work_is_linear_in_the_events(self, monkeypatch):
+        small = self.work_per_episode(monkeypatch, 40)
+        large = self.work_per_episode(monkeypatch, 160)
+        # three asserted facts and one derived fact per event
+        assert large["indexed"] <= 4 * 160 + 3
+        assert large["indexed"] - small["indexed"] == 4 * 120
+        assert large["set"] == small["set"] == 0
+
+
+class WorkingSetMachine(RuleBasedStateMachine):
+    """One lineage of fact bases grown event by event and chained, with
+    some of its older values reused, each step checked against a fresh
+    ``FactBase`` and the unindexed oracle.
+
+    Reusing an older value (extending it again, chaining it again, a
+    ``copy.copy`` or ``dataclasses.replace`` of it) leaves the working set
+    with a newer value; a budget of 0 or 1 makes a chain fail part way.
+    """
+
+    OBJECTS = ("obj_a", "obj_b", "Object_c")
+    DECKS = ((), tuple(axioms()), tuple(axioms()[:2]), (
+        parse_axiom("axiom up: on_top(X,Y) & on_top(Y,Z) => on_top(X,Z)"),
+        parse_axiom("axiom same: contained(X,X) => divided(X)"),
+        parse_axiom("axiom cut: divided(X) & contained(X,Y) => divided(Y)")))
+    literals = st.builds(
+        Literal, st.sampled_from((True, True, False)),
+        st.sampled_from(("contained", "on_top", "divided")),
+        st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=2))
+
+    @initialize()
+    def empty(self):
+        self.kb = FactBase()
+        self.older = [self.kb]
+
+    def move_to(self, kb):
+        self.older.append(self.kb)
+        self.kb = kb
+
+    @rule(event=st.lists(literals, min_size=1, max_size=3))
+    def assert_literals(self, event):
+        """An event whose first literal is positive goes in through
+        ``assert_event``, any other one literal at a time."""
+        kb = plain = self.kb
+        if event[0].positive:
+            atoms = [Pred(l.predicate, tuple(map(Const, l.args))) for l in event]
+            parts = [a if l.positive else Not(a) for a, l in zip(atoms[1:], event[1:])]
+            kb = assert_event(Implies(atoms[0], reduce(And, parts)) if parts else atoms[0], kb)
+        else:
+            for literal in event:
+                kb = kb.with_literal(literal)
+        for literal in event:
+            plain = FactBase(plain.literals, plain.retracted).with_literal(literal)
+        assert (kb.literals, kb.retracted) == (plain.literals, plain.retracted)
+        assert len(set(kb.literals)) == len(kb.literals)
+        assert not {l.negated() for l in kb.literals} & set(kb.literals)
+        self.move_to(kb)
+
+    @rule(deck=st.integers(0, len(DECKS) - 1),
+          budget=st.sampled_from((0, 1) + (MAX_DERIVED,) * 4))
+    def chain(self, deck, budget):
+        kb, deck = self.kb, self.DECKS[deck]
+        want = seminaive_chain_literals(FactBase(kb.literals, kb.retracted), deck)
+        if len(want) - len(kb.literals) > budget:
+            with pytest.raises(BudgetExceededError):
+                forward_chain(kb, deck, max_derived=budget)
+            return
+        closed = forward_chain(kb, deck, max_derived=budget)
+        assert closed.literals == want
+        assert forward_chain(FactBase(kb.literals, kb.retracted), deck).literals == want
+        assert closed.retracted == kb.retracted
+        self.move_to(closed)
+
+    @rule(back=st.integers(1, 3), how=st.sampled_from((None, copy.copy, replace)))
+    def reuse(self, back, how):
+        kb = self.older[-min(back, len(self.older))]
+        self.move_to(kb if how is None else how(kb))
+
+
+WorkingSetMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True)
+TestWorkingSet = WorkingSetMachine.TestCase
 
 
 class TestReport:
