@@ -4,7 +4,8 @@ Each cell lists every derivation of its span, a binary one built from one
 derivation of each of two adjacent cells.  Sentences are short detector
 triplets, so cells stay small, and all probabilities are computed from
 the full derivation list rather than by any dynamic-program
-approximation.
+approximation; a chart with one goal derivation gives it probability 1
+without scoring it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NoParseError, UnknownTokenError
+from .errors import NoParseError, NonFiniteWeightError, UnknownTokenError
 from .grammar import (GOAL_CATEGORY, Category, LexEntry, Lexicon, combine,
                       render_category, unary_project)
 from .terms import (Const, Term, canonical, predications, rename_constants,
@@ -141,9 +142,16 @@ def _close_unary(cell: list[Derivation]) -> list[Derivation]:
 
 def exp_mass(scores) -> tuple[float, float]:
     """``(top, fsum(exp(s - top)))`` over ``scores``, ``top`` the largest:
-    log-sum-exp in two parts, so that no ``exp`` overflows."""
+    log-sum-exp in two parts, so that no ``exp`` overflows.  Raises
+    NonFiniteWeightError if either is not finite, as when a score's summed
+    weights overflow; ``argmax_parse`` scores no one-derivation chart, so
+    such a sentence still parses, at probability 1."""
     top = max(scores)
-    return top, math.fsum(math.exp(s - top) for s in scores)
+    total = math.fsum(math.exp(s - top) for s in scores)
+    if not (math.isfinite(top) and math.isfinite(total)):
+        raise NonFiniteWeightError(f"derivation score {top!r} is not finite: "
+                                   f"the entry weights it sums overflow")
+    return top, total
 
 
 def _form_shares(derivations, lexicon: Lexicon) -> dict[str, tuple[float, list]]:
@@ -178,7 +186,10 @@ def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
 def _argmax(tokens, lexicon: Lexicon) -> tuple[ParseResult, bool]:
     """The full parse's result, and whether its form's share beats every
     other form's by more than the tie margin, so that no name chose it."""
-    shares = _form_shares(parse_all(tokens, lexicon), lexicon)
+    derivations = parse_all(tokens, lexicon)
+    if len(derivations) == 1:  # its share is 1 whatever its score
+        return ParseResult(derivations[0].semantics, 1.0, tuple(derivations)), True
+    shares = _form_shares(derivations, lexicon)
     best_key, best = None, -math.inf
     for key in sorted(shares):
         share = shares[key][0]
@@ -195,7 +206,8 @@ def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
 
     Ties break toward the lexicographically smallest canonical rendering,
     which keeps the choice independent of chart order; shares within a
-    factor of 1 + 1e-12 tie.
+    factor of 1 + 1e-12 tie.  A sentence with one goal derivation gets its
+    form at probability 1.0 unscored, as scoring gives for any finite score.
 
     Results are kept in ``lexicon.parse_cache`` by sentence shape (see
     ``_cache_key``): a sentence that differs from one parsed before only in

@@ -115,6 +115,7 @@ class AxiomRule:
     Building one plans its joins, and raises SourceSyntaxError for a
     negated literal or more than ``MAX_BODY`` body literals, and
     RangeRestrictionError if a head variable occurs in no body literal.
+    It pickles as its fields and plans its joins again on load.
     """
 
     name: str
@@ -124,6 +125,9 @@ class AxiomRule:
 
     def __post_init__(self):
         object.__setattr__(self, "plan", _compile(self))
+
+    def __reduce__(self):
+        return AxiomRule, (self.name, self.body, self.head)
 
 
 def _compile(rule: AxiomRule) -> _Plan:
@@ -331,12 +335,16 @@ class FactBase:
     ``assert_event`` and ``forward_chain`` update it in place, without a
     lock, and hand it to the fact base they return.  It holds the literal
     tuple it describes, so any other fact base that reaches it (an older
-    value used again, a copy) rebuilds its own once.
+    value used again) rebuilds its own once.  A copy or a pickle holds the
+    two tuples only and rebuilds its working set on first use.
     """
 
     literals: tuple[Literal, ...] = ()
     retracted: tuple[Literal, ...] = ()
     work: _Work | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        return FactBase, (self.literals, self.retracted)
 
     def _work(self) -> _Work:
         if self.work is None or self.work.literals is not self.literals:
@@ -457,7 +465,10 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     generated source: predicates and constants enter as bound values.  A
     head becomes a ``Literal`` only once it is known to be new, and a
     join returns as soon as its new heads pass the budget, so a runaway
-    rule stops before its cross product exists.
+    rule stops before its cross product exists.  The heads a rule derives
+    in a round share its head's shape, so they enter both indexes as one
+    group (``_index``), in rule order and then discovery order; the first
+    round's facts enter grouped by shape (``_by_shape``).
 
     The working set of ``kb`` (see ``FactBase``) keeps the index and the
     known heads from one call to the next.  Under the rules it was last
@@ -488,15 +499,16 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
                 if step.position is not None and (step.position, step.key) not in families:
                     probes[shape] = families + ((step.position, step.key),)
         work.rules, work.probes, work.index = rules, probes, {}
-        everything = delta = _index(kb.literals, probes, work.index)  # all facts are new
+        everything = delta = _index(_by_shape(kb.literals), probes, work.index)  # all new
     else:
         probes, everything = work.probes, work.index
-        delta = _index(work.pending, probes, everything, {})
+        delta = _index(_by_shape(work.pending), probes, everything, {})
     work.pending = {}
     first = True
     derived: list[Literal] = []
     while True:
         fresh: list[Literal] = []
+        groups = []  # each rule's new heads, one shape each
         for rule in rules:
             plan = rule.plan
             # only positions whose predicate has new facts can use one
@@ -511,33 +523,48 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
                 if len(out) > room:
                     raise BudgetExceededError(
                         f"more than {max_derived} derived literals")
-            fresh += [_new(Literal, (True, rule.head.predicate, args)) for args in out]
+            if out:
+                groups.append(((rule.head.predicate, len(plan.head)), out))
+                fresh += [_new(Literal, (True, rule.head.predicate, args)) for args in out]
         if not fresh:
             break
         derived += fresh
-        delta = _index(fresh, probes, everything, {})
+        delta = _index(groups, probes, everything, {})
         first = False
     work.unmerged += derived
     return work.hand(kb.literals + tuple(derived), kb.retracted)
 
 
-def _index(facts, probes, *indexes) -> dict:
-    """Append the arguments of each positive fact of ``facts`` whose
-    (predicate, arity) ``probes`` holds to the list under that key in each of
-    ``indexes``, and, for each position ``probes`` names, to the list under the
-    argument there in the dict under (predicate, arity, position); returns the last."""
+def _by_shape(facts):
+    """The positive ones of ``facts`` as ``_index`` groups: their argument
+    tuples listed under their (predicate, arity), in fact order."""
+    groups = defaultdict(list)
     for positive, predicate, args in facts:
-        shape = predicate, len(args)
+        if positive:
+            groups[predicate, len(args)].append(args)
+    return groups.items()
+
+
+def _index(groups, probes, *indexes) -> dict:
+    """For each ``(shape, args list)`` of ``groups`` whose shape ``probes``
+    holds, append the list to the list under that shape in each of
+    ``indexes``, and each args to the list under its argument in the dict
+    under (predicate, arity, position) for each position ``probes`` names;
+    returns the last.  Each group looks its lists and dicts up once."""
+    for shape, facts in groups:
         positions = probes.get(shape)
-        if positions is not None and positive:
-            for index in indexes:
-                scan = index.get(shape)
-                if scan is None:
-                    scan = index[shape] = []
-                    index.update((key, {}) for _, key in positions)
-                scan.append(args)
-                for position, key in positions:
-                    index[key].setdefault(args[position], []).append(args)
+        if positions is None:
+            continue
+        for index in indexes:
+            scan = index.get(shape)
+            if scan is None:
+                scan = index[shape] = []
+                index.update((key, {}) for _, key in positions)
+            scan += facts
+            for position, key in positions:
+                family = index[key]
+                for args in facts:
+                    family.setdefault(args[position], []).append(args)
     return indexes[-1]
 
 

@@ -27,6 +27,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def overflowing_lexicon(tmp_path, *extra):
+    """``knife cut bread`` with every weight at 1e308, so that the score of
+    a derivation, the sum of its three weights, overflows to inf."""
+    path = tmp_path / "overflow.lex"
+    lines = ["knife := N : knife @ 1e308",
+             r"cut := (AP\NP)/NP : \x.\y.cut(x,y) @ 1e308",
+             "bread := N : bread @ 1e308", *extra]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
 def weighted_seed(tmp_path):
     """The shipped seed lexicon with ``Knife`` at weight 1.0."""
     path = tmp_path / "weighted.lex"
@@ -117,6 +128,21 @@ class TestParseCommand:
         assert out == ("chopping(object_014,object_011) -> "
                        "divided(object_011)  p=1.000\n")
 
+    def test_one_derivation_is_not_scored(self, capsys, tmp_path):
+        code, out, err = run(capsys, "parse", "--lexicon",
+                             str(overflowing_lexicon(tmp_path)), "knife cut bread")
+        assert code == 0 and err == ""
+        assert out == "cut(knife,bread)  p=1.000\n"
+
+    def test_overflowing_score_is_one_error_line(self, capsys, tmp_path):
+        path = overflowing_lexicon(
+            tmp_path, r"cut := (AP\NP)/NP : \x.\y.slice(x,y) @ 1e308")
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "knife cut bread")
+        assert code == 1 and out == ""
+        assert err == ("error: derivation score inf is not finite: the entry "
+                       "weights it sums overflow\n")
+
     def test_output_is_deterministic(self, capsys):
         argv = ("parse", "--lexicon", str(data_path("quantifier.lex")),
                 "Knife Cut every Tomato")
@@ -151,6 +177,18 @@ class TestLearnCommand:
         assert code == 0
         assert len(calls) == len(load_corpus(data_path("table1.corpus"))) == 8
         assert out.splitlines()[1] == "log-likelihood: 0.000000"
+
+    def test_overflowing_score_is_one_error_line(self, capsys, tmp_path):
+        corpus = tmp_path / "one.corpus"
+        corpus.write_text("knife cut bread\tcut(knife,bread)\n", encoding="utf-8")
+        out_path = tmp_path / "fit.lex"
+        code, out, err = run(capsys, "learn", "--corpus", str(corpus),
+                             "--seed", str(overflowing_lexicon(tmp_path)),
+                             "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == ("error: derivation score inf is not finite: the entry "
+                       "weights it sums overflow\n")
+        assert not out_path.exists()
 
     def test_written_lexicon_reloads(self, learned_lexicon_path):
         lexicon = load_lexicon(learned_lexicon_path)

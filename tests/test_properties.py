@@ -12,6 +12,7 @@ from collections import Counter
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from actionccg import chart
 from actionccg.chart import argmax_parse, parse_all, parse_probability
 from actionccg.errors import (ConstantFunctionWarning, NonTerminationError,
                               NoParseError, UnknownTokenError)
@@ -235,6 +236,28 @@ class TestChartProperties:
             return
         assert derivations
         assert Counter(derivation_signature(d) for d in derivations) == brute
+
+    @COMMON
+    @given(st.sets(st.integers(0, len(LEX_POOL) - 1), min_size=1),
+           st.sampled_from(PARSEABLE),
+           st.lists(tidy_floats, min_size=len(LEX_POOL),
+                    max_size=len(LEX_POOL)))
+    def test_one_derivation_parses_as_its_scored_share(self, picked, tokens,
+                                                      weights):
+        # argmax_parse returns a chart with one goal derivation unscored
+        lexicon = Lexicon(LEX_POOL[i] for i in sorted(picked)).with_weights(
+            {LEX_POOL[i].key: weights[i] for i in picked})
+        brute = brute_force_roots(tokens, lexicon)
+        assume(len(brute) == 1)
+        (key, (share, chosen)), = chart._form_shares(
+            parse_all(tokens, lexicon), lexicon).items()
+        assert key == brute[0][1]
+        for result in (argmax_parse(tokens, lexicon),  # parsed, then cached
+                       argmax_parse(tokens, lexicon)):
+            assert canonical(result.logical_form) == key
+            assert result.probability == share == 1.0
+            assert result.derivations == tuple(chosen)
+            assert [derivation_signature(d) for d in result.derivations] == brute
 
     @COMMON
     @given(st.lists(tidy_floats, min_size=len(LEX_POOL),

@@ -1,6 +1,7 @@
 """Fact base maintenance, event ingestion, and forward chaining."""
 
 import copy
+import pickle
 import random
 import tracemalloc
 from dataclasses import replace
@@ -600,7 +601,9 @@ class TestClosedMarker:
         kb = closed.with_literal(lit("!contained(bucket,ball)"))
         kb = forward_chain(kb.with_literal(lit("on_top(box,bucket)")), rules)
         assert lit("on_top(box,ball)") not in kb.literals
+        assert_index_is_fresh(kb, rules)
         restored = forward_chain(kb.with_literal(lit("contained(bucket,ball)")), rules)
+        assert_index_is_fresh(restored, rules)
         assert restored.literals[-2:] == (lit("contained(bucket,ball)"),
                                           lit("on_top(box,ball)"))
         assert restored.retracted == (lit("contained(bucket,ball)"),)
@@ -613,20 +616,38 @@ class TestClosedMarker:
                                        "on_top(box,bucket)"), [])
         assert lit("on_top(box,ball)") in forward_chain(unclosed, axioms()).literals
 
+    def test_chained_fact_base_and_rules_pickle_without_their_caches(
+            self, shipped_axioms):
+        rules = list(shipped_axioms)
+        kb = assert_event(parse_term("hiding(box,ball) -> contained(box,ball)"),
+                          FactBase())
+        kb = assert_event(parse_term("put_on_top(lid,box) -> on_top(lid,box)"), kb)
+        closed = forward_chain(kb, rules)  # compiles the joins it runs
+        rules_copy, closed_copy = pickle.loads(pickle.dumps((rules, closed)))
+        assert rules_copy == rules and closed_copy == closed
+        assert repr(closed_copy) == repr(closed)
+        assert closed_copy.work is None
+        assert all(join is None for rule in rules_copy for join in rule.plan.joins)
+        event = parse_term("hiding(ball,cup) -> contained(ball,cup)")
+        grown = forward_chain(assert_event(event, closed), rules)
+        assert forward_chain(assert_event(event, closed_copy), rules_copy) == grown
+        assert lit("on_top(lid,cup)") in grown.literals
+
 
 class TestIncrementalWork:
     """Asserting and chaining event by event costs each fact a bounded
     amount of indexing and no member-set rebuild."""
 
     def work_per_episode(self, monkeypatch, events):
-        """Facts handed to ``_index`` plus literals handed to ``set()``."""
+        """Facts handed to ``_index``, summed over its groups, plus literals
+        handed to ``set()``."""
         counts = {"indexed": 0, "set": 0}
         index = reasoning._index
 
-        def counted_index(facts, *rest):
-            facts = list(facts)
-            counts["indexed"] += len(facts)
-            return index(facts, *rest)
+        def counted_index(groups, *rest):
+            groups = list(groups)
+            counts["indexed"] += sum(len(facts) for _, facts in groups)
+            return index(groups, *rest)
 
         def counted_set(*args):
             made = set(*args)
@@ -652,6 +673,39 @@ class TestIncrementalWork:
         assert large["indexed"] <= 4 * 160 + 3
         assert large["indexed"] - small["indexed"] == 4 * 120
         assert large["set"] == small["set"] == 0
+
+
+def fresh_index(literals, rules):
+    """The join index of ``literals`` under ``rules``, built fact by fact
+    from the keys the rules' steps read, without empty buckets."""
+    keys = {step.key for rule in rules for step in rule.plan.steps}
+    shapes = {key[:2] for key in keys}
+    index = {}
+    for positive, predicate, args in literals:
+        shape = (predicate, len(args))
+        if positive and shape in shapes:
+            index.setdefault(shape, []).append(args)
+            for key in keys:
+                if key[:2] == shape and len(key) == 3:
+                    index.setdefault(key, {}).setdefault(args[key[2]], []).append(args)
+    return index
+
+
+def without_empty_buckets(index):
+    """``index`` less the lists and family entries retractions emptied."""
+    kept = {}
+    for key, bucket in index.items():
+        if isinstance(bucket, dict):
+            bucket = {value: facts for value, facts in bucket.items() if facts}
+        if bucket:
+            kept[key] = bucket
+    return kept
+
+
+def assert_index_is_fresh(closed, rules):
+    """The join index ``closed`` kept across calls is the one built afresh
+    from its literals, list for list."""
+    assert without_empty_buckets(closed.work.index) == fresh_index(closed.literals, rules)
 
 
 class WorkingSetMachine(RuleBasedStateMachine):
@@ -713,6 +767,7 @@ class WorkingSetMachine(RuleBasedStateMachine):
             return
         closed = forward_chain(kb, deck, max_derived=budget)
         assert closed.literals == want
+        assert_index_is_fresh(closed, deck)
         assert forward_chain(FactBase(kb.literals, kb.retracted), deck).literals == want
         assert closed.retracted == kb.retracted
         self.move_to(closed)
