@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .errors import NoParseError, NonFiniteWeightError, UnknownTokenError
 from .grammar import (GOAL_CATEGORY, Category, LexEntry, Lexicon, combine,
@@ -27,15 +25,14 @@ FeatureKey = tuple[str, str, str]
 
 @dataclass(frozen=True)
 class Derivation:
-    """One parse tree node; ``entry`` for leaves, children otherwise."""
+    """One parse tree node over the tokens of ``span``: a leaf holds its
+    ``entry``, any other node its ``kids``, ``(left, right)`` or ``(d,)``."""
 
     category: Category
     semantics: Term
     span: tuple[int, int]
     entry: LexEntry | None = None
-    child: "Derivation | None" = None
-    left: "Derivation | None" = None
-    right: "Derivation | None" = None
+    kids: tuple["Derivation", ...] = ()
 
     def feature_counts(self) -> Counter:
         """Lexical entry usage counts; sums to the token count."""
@@ -45,11 +42,7 @@ class Derivation:
             node = stack.pop()
             if node.entry is not None:
                 counts[node.entry.key] += 1
-            elif node.child is not None:
-                stack.append(node.child)
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
+            stack += node.kids
         return counts
 
     def score(self, lexicon: Lexicon) -> float:
@@ -61,30 +54,16 @@ class Derivation:
         cat = render_category(self.category)
         if self.entry is not None:
             return f"[{cat} {self.entry.token!r}]"
-        if self.child is not None:
-            return f"[{cat} {self.child.tree()}]"
-        return f"[{cat} {self.left.tree()} {self.right.tree()}]"
+        return f"[{cat} {' '.join(kid.tree() for kid in self.kids)}]"
 
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Highest-probability logical form with its supporting derivations.
-
-    The third argument is the derivations, or a function of no arguments
-    that returns them; it is then called when ``derivations`` is first
-    read.  A result from the parse cache finds them that way, by one full
-    parse, so a caller that reads only the form never pays for them.
-    """
+    """Highest-probability logical form and its probability; its derivations
+    are those of ``parse_all`` whose semantics share its ``canonical``."""
 
     logical_form: Term
     probability: float
-    _derivations: tuple[Derivation, ...] | Callable = field(repr=False,
-                                                            compare=False)
-
-    @cached_property
-    def derivations(self) -> tuple[Derivation, ...]:
-        found = self._derivations
-        return found() if callable(found) else found
 
 
 def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
@@ -122,7 +101,7 @@ def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
                                        (right.category, right.semantics))
                         if made is not None:
                             cell.append(Derivation(made[0], made[1], span,
-                                                   left=left, right=right))
+                                                   kids=(left, right)))
             cells[span] = _close_unary(cell)
 
     derivations = [d for d in cells[(0, n)] if d.category == GOAL_CATEGORY]
@@ -136,7 +115,7 @@ def _close_unary(cell: list[Derivation]) -> list[Derivation]:
     for d in list(cell):
         made = unary_project(d.category, d.semantics)
         if made is not None:
-            cell.append(Derivation(made[0], made[1], d.span, child=d))
+            cell.append(Derivation(made[0], made[1], d.span, kids=(d,)))
     return cell
 
 
@@ -154,9 +133,10 @@ def exp_mass(scores) -> tuple[float, float]:
     return top, total
 
 
-def _form_shares(derivations, lexicon: Lexicon) -> dict[str, tuple[float, list]]:
+def _form_shares(derivations, lexicon: Lexicon) -> dict[str, tuple[float, Term]]:
     """Each logical form's share of the derivations' probability mass, with
-    the derivations that yield it, keyed by canonical string.
+    the semantics of the first derivation that yields it, keyed by
+    canonical string.
 
     Every share is taken from one ``exp_mass`` top, so forms of equal mass
     get equal shares whatever the size of the scores.
@@ -167,7 +147,7 @@ def _form_shares(derivations, lexicon: Lexicon) -> dict[str, tuple[float, list]]
     for idx, derivation in enumerate(derivations):
         groups.setdefault(canonical(derivation.semantics), []).append(idx)
     return {key: (math.fsum(math.exp(scores[i] - top) for i in group) / total,
-                  [derivations[i] for i in group])
+                  derivations[group[0]].semantics)
             for key, group in groups.items()}
 
 
@@ -179,7 +159,7 @@ def parse_probability(logical_form: Term, tokens, lexicon: Lexicon) -> float:
     to every weight leaves the value unchanged.
     """
     shares = _form_shares(parse_all(tokens, lexicon), lexicon)
-    share, _ = shares.get(canonical(logical_form), (0.0, []))
+    share, _ = shares.get(canonical(logical_form), (0.0, None))
     return share
 
 
@@ -188,17 +168,16 @@ def _argmax(tokens, lexicon: Lexicon) -> tuple[ParseResult, bool]:
     other form's by more than the tie margin, so that no name chose it."""
     derivations = parse_all(tokens, lexicon)
     if len(derivations) == 1:  # its share is 1 whatever its score
-        return ParseResult(derivations[0].semantics, 1.0, tuple(derivations)), True
+        return ParseResult(derivations[0].semantics, 1.0), True
     shares = _form_shares(derivations, lexicon)
     best_key, best = None, -math.inf
     for key in sorted(shares):
         share = shares[key][0]
         if share > best * (1 + 1e-12):
             best_key, best = key, share
-    chosen = shares[best_key][1]
     clear = all(best > share * (1 + 1e-12)
                 for key, (share, _) in shares.items() if key != best_key)
-    return ParseResult(chosen[0].semantics, best, tuple(chosen)), clear
+    return ParseResult(shares[best_key][1], best), clear
 
 
 def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
@@ -218,26 +197,22 @@ def argmax_parse(tokens, lexicon: Lexicon) -> ParseResult:
     """
     tokens = list(tokens)
     found = _cache_key(tokens, lexicon)
-    if found is None:
-        return _argmax(tokens, lexicon)[0]
-    key, names = found
-    cached = lexicon.parse_cache.get(key)
+    cached = lexicon.parse_cache.get(found[0]) if found else ()
+    if cached:
+        form, probability, old = cached
+        renames = {o: n for o, n in zip(old, found[1]) if o != n}
+        if renames:
+            form = rename_constants(form, renames)
+        return ParseResult(form, probability)
+    result, clear = _argmax(tokens, lexicon)
     if cached is None:
-        result, clear = _argmax(tokens, lexicon)
+        key, names = found
         form = result.logical_form
         if clear and not any(name in names for name, _ in predications(form)):
             lexicon.parse_cache[key] = (form, result.probability, names)
         else:
             lexicon.parse_cache[key] = ()
-        return result
-    if not cached:
-        return _argmax(tokens, lexicon)[0]
-    form, probability, old = cached
-    renames = {o: n for o, n in zip(old, names) if o != n}
-    if renames:
-        form = rename_constants(form, renames)
-    return ParseResult(form, probability,
-                       lambda: _argmax(tokens, lexicon)[0].derivations)
+    return result
 
 
 def _cache_key(tokens, lexicon: Lexicon):

@@ -17,12 +17,12 @@ import warnings
 from pathlib import Path
 
 from . import corpus as corpus_io
-from .chart import argmax_parse
+from .chart import argmax_parse, parse_all
 from .errors import ActionCCGError
 from .grammar import N
 from .learning import TrainConfig, fit, induce_corpus_entries, inject_templates
 from .reasoning import FactBase, assert_event, forward_chain, report
-from .terms import Const, render
+from .terms import Const, canonical, render
 
 
 def main(argv=None) -> int:
@@ -120,8 +120,10 @@ def _cmd_parse(args) -> int:
     result = argmax_parse(tokens, lexicon)
     print(f"{render(result.logical_form)}  p={result.probability:.3f}")
     if args.all_derivations:
-        for derivation in result.derivations:
-            print(f"derivation: {derivation.tree()}")
+        key = canonical(result.logical_form)
+        for derivation in parse_all(tokens, lexicon):
+            if canonical(derivation.semantics) == key:
+                print(f"derivation: {derivation.tree()}")
     return 0
 
 

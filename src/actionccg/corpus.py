@@ -22,7 +22,6 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from itertools import zip_longest
 from pathlib import Path
 
@@ -46,7 +45,7 @@ class SequenceFile:
 
 def data_path(name: str) -> Path:
     """Path of a sample file shipped inside the package."""
-    return Path(str(resources.files(__package__).joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def _literals(*literals: Literal):

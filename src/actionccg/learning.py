@@ -22,7 +22,8 @@ from .chart import exp_mass, parse_all
 from .grammar import (AP, Backward, Forward, N, NP, LexEntry, Lexicon,
                       apply_argument)
 from .syntax import parse_term
-from .terms import Const, Lam, Term, alpha_eq, canonical, inverse_lambda
+from .terms import (Const, Lam, Term, alpha_eq, canonical, fresh_name,
+                    inverse_lambda)
 
 OBJECT_TOKEN_RE = re.compile(r"object_[0-9]+\Z", re.IGNORECASE)
 ACTION_CATEGORY = Forward(Backward(AP, NP), NP)
@@ -64,7 +65,8 @@ def inject_templates(tokens, lexicon: Lexicon) -> Lexicon:
 
     Segment identifiers such as ``Object_007`` become nouns denoting a
     fresh constant; any other unknown token is assumed to name an action
-    and receives a two-argument entry with no stated consequence, at the
+    and receives a two-argument entry with no stated consequence, its
+    binders named apart from the action (``X`` reads ``x(x1,y)``), at the
     penalty weight ``UNKNOWN_WEIGHT`` so known entries win when both
     apply.  Running the injection twice adds nothing new.
     """
@@ -75,7 +77,9 @@ def inject_templates(tokens, lexicon: Lexicon) -> Lexicon:
         if OBJECT_TOKEN_RE.fullmatch(token):
             fresh.append(LexEntry(token, N, Const(token.lower())))
         else:
-            semantics = parse_term(f"\\x.\\y.{token.lower()}(x,y)")
+            name = token.lower()
+            x, y = fresh_name("x", {name}), fresh_name("y", {name})
+            semantics = parse_term(f"\\{x}.\\{y}.{name}({x},{y})")
             fresh.append(LexEntry(token, ACTION_CATEGORY, semantics,
                                   UNKNOWN_WEIGHT))
     return lexicon.with_entries(fresh) if fresh else lexicon

@@ -238,6 +238,20 @@ def derivation_signature(derivation):
             tuple(sorted(derivation.feature_counts().items())))
 
 
+def walk(derivation):
+    """Every node of a derivation, parent before kids."""
+    yield derivation
+    for kid in derivation.kids:
+        yield from walk(kid)
+
+
+def supporting(derivations, form):
+    """The derivations whose semantics are ``form`` up to bound names, in
+    their given order."""
+    key = canonical(form)
+    return tuple(d for d in derivations if canonical(d.semantics) == key)
+
+
 # --- naive forward chaining --------------------------------------------
 
 def naive_chain_atoms(kb, rules):

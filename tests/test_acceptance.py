@@ -24,6 +24,7 @@ from actionccg.learning import (TrainConfig, induce_corpus_entries,
 from actionccg.reasoning import FactBase, assert_event, forward_chain, report
 from actionccg.syntax import parse_term
 from actionccg.terms import alpha_eq, canonical
+from oracles import walk
 
 TESTS_DIR = Path(__file__).parent
 ACTION_CATEGORY = parse_category(r"(AP\NP)/NP")
@@ -65,13 +66,6 @@ def trained_pipeline():
     return corpus, lexicon, time.perf_counter() - start
 
 
-def iter_nodes(derivation):
-    yield derivation
-    for child in (derivation.child, derivation.left, derivation.right):
-        if child is not None:
-            yield from iter_nodes(child)
-
-
 def run_case_study(name, lexicon):
     sequence = load_sequence(data_path(f"{name}.seq"))
     rules = load_axioms(data_path("axioms.rules"))
@@ -94,7 +88,7 @@ def test_criterion_1_basic_triplet_parse(basic_lexicon):
         assert root.category == AP
         assert root.semantics == parse_term(
             "cut(knife,cucumber) -> divided(cucumber)")
-        partial = [node for node in iter_nodes(root)
+        partial = [node for node in walk(root)
                    if node.category == Backward(AP, NP)]
         assert len(partial) == 1 and partial[0].span == (1, 3)
         assert alpha_eq(partial[0].semantics, parse_term(

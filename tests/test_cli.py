@@ -110,6 +110,35 @@ class TestParseCommand:
                        r"derivation: [AP [NP [N 'Knife']] "
                        r"[AP\NP [(AP\NP)/NP 'Cut'] [NP [N 'Cucumber']]]]" "\n")
 
+    def test_all_derivations_prints_each_bracketing_of_the_form_in_chart_order(
+            self, capsys, tmp_path):
+        # Beta takes one noun phrase from each side, in either order, so each
+        # form has two bracketings; the losing form's two are not printed
+        path = tmp_path / "beta.lex"
+        path.write_text("Alpha := NP : alpha\n"
+                        "Beta := (AP\\NP)\\NP : \\x.\\y.done @ 1.0\n"
+                        "Beta := (AP\\NP)\\NP : \\x.\\y.other\n"
+                        "Gamma := NP : gamma\n", encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "--all-derivations", "Alpha Beta Gamma")
+        assert code == 0 and err == ""
+        # two derivations of weight 1 against two of weight 0: e / (e + 1)
+        assert out == ("done  p=0.731\n"
+                       r"derivation: [AP [NP 'Alpha'] "
+                       r"[AP\NP [(AP\NP)\NP 'Beta'] [NP 'Gamma']]]" "\n"
+                       r"derivation: [AP [AP\NP [NP 'Alpha'] "
+                       r"[(AP\NP)\NP 'Beta']] [NP 'Gamma']]" "\n")
+
+    @pytest.mark.parametrize("token", ["X", "Y"])
+    def test_an_unknown_action_named_like_a_binder_keeps_its_arguments(
+            self, capsys, token):
+        # the template's binders must not capture its own functor
+        code, out, err = run(capsys, "parse",
+                             "--lexicon", str(data_path("basic.lex")),
+                             f"Knife {token} Cucumber")
+        assert code == 0 and err == ""
+        assert out == f"{token.lower()}(knife,cucumber)  p=1.000\n"
+
     def test_quantified_sentence(self, capsys):
         code, out, _ = run(capsys, "parse",
                            "--lexicon", str(data_path("quantifier.lex")),

@@ -1,7 +1,9 @@
-"""The package imports nothing outside the standard library, and each
-module uses every name it imports."""
+"""The package imports nothing outside the standard library, each
+module uses every name it imports, and the CLI imports no more than it
+needs."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +65,14 @@ def test_the_check_sees_an_unused_import(tmp_path):
                     "def f(x: Var) -> str:\n    return os.path.join(t.x)\n",
                     encoding="utf-8")
     assert unused_imports(path) == ["Const", "re"]
+
+
+def test_the_cli_module_does_not_load_importlib_resources():
+    # ``-S`` keeps the .pth hooks of site-packages from importing modules
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import actionccg.cli; "
+            "print('importlib.resources' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code,
+                           str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -10,20 +10,13 @@ from actionccg.errors import NoParseError, UnknownTokenError
 from actionccg.grammar import AP, Backward, LexEntry, Lexicon, NP, parse_category
 from actionccg.terms import alpha_eq, canonical
 
-from oracles import brute_force_roots, derivation_signature
+from oracles import brute_force_roots, derivation_signature, supporting, walk
 
 ACTION = parse_category(r"(AP\NP)/NP")
 
 
 def noun(token):
     return LexEntry(token, parse_category("N"), parse_term(token.lower()))
-
-
-def walk(derivation):
-    yield derivation
-    for child in (derivation.child, derivation.left, derivation.right):
-        if child is not None:
-            yield from walk(child)
 
 
 class TestParseAll:
@@ -74,7 +67,7 @@ class TestParseAll:
         root = parse_all(["Knife", "Cut", "Cucumber"], basic_lexicon)[0]
         leaves = [n for n in walk(root) if n.entry is not None]
         assert sorted(n.span for n in leaves) == [(0, 1), (1, 2), (2, 3)]
-        unaries = [n for n in walk(root) if n.child is not None]
+        unaries = [n for n in walk(root) if len(n.kids) == 1]
         assert {n.category for n in unaries} == {NP}
 
     def test_tree_rendering(self, basic_lexicon):
@@ -125,14 +118,17 @@ class TestSpuriousAmbiguity:
         result = argmax_parse(self.TOKENS, lexicon)
         assert result.logical_form == parse_term("done")
         assert result.probability == pytest.approx(1.0, rel=1e-12)
-        assert result.derivations == tuple(parse_all(self.TOKENS, lexicon))
+        derivations = tuple(parse_all(self.TOKENS, lexicon))
+        assert len(derivations) == 2
+        assert supporting(derivations, result.logical_form) == derivations
 
     def test_chart_order_is_split_then_left_then_right(self):
         # the full-span cell lists the split after Alpha before the split
         # before Gamma, whatever their logical forms
         derivations = parse_all(self.TOKENS, self.lexicon(
             r"\x.\y.done", r"\x.\y.other"))
-        assert [(canonical(d.semantics), d.left.span) for d in derivations] == [
+        assert [(canonical(d.semantics), d.kids[0].span)
+                for d in derivations] == [
             ("done", (0, 1)), ("other", (0, 1)),
             ("done", (0, 2)), ("other", (0, 2))]
 
@@ -251,9 +247,13 @@ class TestArgmax:
 
     def test_result_groups_all_supporting_derivations(self):
         lexicon = TestScoring().ambiguous_lexicon(1.0, 0.0)
-        result = argmax_parse(["Knife", "Cut", "Cucumber"], lexicon)
-        assert len(result.derivations) == 1
-        assert result.derivations[0].semantics == result.logical_form
+        tokens = ["Knife", "Cut", "Cucumber"]
+        result = argmax_parse(tokens, lexicon)
+        derivations = parse_all(tokens, lexicon)
+        assert len(derivations) == 2
+        chosen = supporting(derivations, result.logical_form)
+        assert len(chosen) == 1
+        assert chosen[0].semantics == result.logical_form
 
     def test_deterministic_across_runs(self, quantifier_lexicon):
         tokens = ["Knife", "Cut", "every", "Tomato"]

@@ -29,7 +29,8 @@ from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
 from oracles import (OracleBudgetError, analytic_gradient, brute_force_roots,
                      db_alpha_eq, db_normal_form, db_subst_free,
                      derivation_signature, naive_chain_atoms,
-                     numeric_gradient, seminaive_chain_literals, to_debruijn)
+                     numeric_gradient, seminaive_chain_literals, supporting,
+                     to_debruijn)
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -249,15 +250,17 @@ class TestChartProperties:
             {LEX_POOL[i].key: weights[i] for i in picked})
         brute = brute_force_roots(tokens, lexicon)
         assume(len(brute) == 1)
-        (key, (share, chosen)), = chart._form_shares(
-            parse_all(tokens, lexicon), lexicon).items()
+        derivations = parse_all(tokens, lexicon)
+        (key, (share, form)), = chart._form_shares(derivations,
+                                                   lexicon).items()
         assert key == brute[0][1]
         for result in (argmax_parse(tokens, lexicon),  # parsed, then cached
                        argmax_parse(tokens, lexicon)):
             assert canonical(result.logical_form) == key
+            assert result.logical_form == form
             assert result.probability == share == 1.0
-            assert result.derivations == tuple(chosen)
-            assert [derivation_signature(d) for d in result.derivations] == brute
+            chosen = supporting(derivations, result.logical_form)
+            assert [derivation_signature(d) for d in chosen] == brute
 
     @COMMON
     @given(st.lists(tidy_floats, min_size=len(LEX_POOL),

@@ -10,7 +10,8 @@ from functools import reduce
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 precondition, rule)
 
 from actionccg import load_axioms, parse_term, reasoning
 from actionccg.corpus import data_path
@@ -771,6 +772,19 @@ class WorkingSetMachine(RuleBasedStateMachine):
         assert forward_chain(FactBase(kb.literals, kb.retracted), deck).literals == want
         assert closed.retracted == kb.retracted
         self.move_to(closed)
+
+    @precondition(lambda self: any(l.positive for l in self.kb.literals))
+    @rule(data=st.data())
+    def retract(self, data):
+        """The negation of one of the facts, which a chained fact base
+        holds in its join index unless it came since the chain."""
+        kb = self.kb
+        fact = data.draw(st.sampled_from([l for l in kb.literals if l.positive]))
+        retracted = kb.with_literal(fact.negated())
+        plain = FactBase(kb.literals, kb.retracted).with_literal(fact.negated())
+        assert (retracted.literals, retracted.retracted) == (
+            plain.literals, plain.retracted)
+        self.move_to(retracted)
 
     @rule(back=st.integers(1, 3), how=st.sampled_from((None, copy.copy, replace)))
     def reuse(self, back, how):
