@@ -183,20 +183,19 @@ class Lexicon:
             first = merged.setdefault(entry.key, entry)
             if entry.weight > first.weight:
                 merged[entry.key] = replace(first, weight=entry.weight)
-        self._entries: tuple[LexEntry, ...] = tuple(merged.values())
+        self._by_key = merged
         self._folded: dict[str, list[LexEntry]] = {}
-        for entry in self._entries:
+        for entry in merged.values():
             self._folded.setdefault(entry.token.lower(), []).append(entry)
-        self._weights = {key: e.weight for key, e in merged.items()}
         # ``chart.argmax_parse``'s memo for this lexicon alone; a lexicon
         # made from this one starts with an empty one
         self.parse_cache: dict = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_key)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._by_key.values())
 
     def lookup(self, token: str) -> tuple[LexEntry, ...]:
         return tuple(self._folded.get(token.lower(), ()))
@@ -205,16 +204,16 @@ class Lexicon:
         return bool(self.lookup(token))
 
     def weight_of(self, key: tuple[str, str, str]) -> float:
-        return self._weights[key]
+        return self._by_key[key].weight
 
     def with_entries(self, new_entries) -> "Lexicon":
         """This lexicon extended with ``new_entries``, merged by key."""
-        return Lexicon((*self._entries, *new_entries))
+        return Lexicon((*self, *new_entries))
 
     def with_weights(self, weights: dict[tuple[str, str, str], float]) -> "Lexicon":
         """Reweight entries by key; an infinite or NaN weight is an error."""
         return Lexicon(replace(e, weight=weights.get(e.key, e.weight))
-                       for e in self._entries)
+                       for e in self)
 
 
 def unary_project(category: Category, semantics: Term):

@@ -21,7 +21,7 @@ from .errors import (DegenerateCorpusError, InductionFailureError,
 from .chart import exp_mass, parse_all
 from .grammar import (AP, Backward, Forward, N, NP, LexEntry, Lexicon,
                       apply_argument)
-from .syntax import parse_term
+from .syntax import KEYWORDS, is_identifier, parse_term
 from .terms import (Const, Lam, Term, alpha_eq, canonical, fresh_name,
                     inverse_lambda)
 
@@ -68,16 +68,18 @@ def inject_templates(tokens, lexicon: Lexicon) -> Lexicon:
     and receives a two-argument entry with no stated consequence, its
     binders named apart from the action (``X`` reads ``x(x1,y)``), at the
     penalty weight ``UNKNOWN_WEIGHT`` so known entries win when both
-    apply.  Running the injection twice adds nothing new.
+    apply.  A token whose lower case is no predicate name (``Pick-up``,
+    ``Forall``) gets no entry and stays unknown.  Running the injection
+    twice adds nothing new.
     """
     fresh = []
     for token in dict.fromkeys(tokens):
         if lexicon.has_token(token):
             continue
+        name = token.lower()
         if OBJECT_TOKEN_RE.fullmatch(token):
-            fresh.append(LexEntry(token, N, Const(token.lower())))
-        else:
-            name = token.lower()
+            fresh.append(LexEntry(token, N, Const(name)))
+        elif is_identifier(name) and name not in KEYWORDS:
             x, y = fresh_name("x", {name}), fresh_name("y", {name})
             semantics = parse_term(f"\\{x}.\\{y}.{name}({x},{y})")
             fresh.append(LexEntry(token, ACTION_CATEGORY, semantics,

@@ -42,7 +42,7 @@ class Literal(_LiteralFields):
     """A ground or pattern literal; uppercase-initial args are variables.
 
     An immutable tuple ``(positive, predicate, args)``, so equality,
-    hashing and set membership run in C.
+    hashing and set lookups run in C.
     """
 
     __slots__ = ()
@@ -71,18 +71,16 @@ def parse_literal(text: str, *, allow_variables: bool = False) -> Literal:
     """Parse ``pred(a,b)`` or ``!pred(a,b)``."""
     m = _LITERAL_RE.match(text)
     if m is None:
-        raise SourceSyntaxError(f"malformed literal {text.strip()!r}",
-                                offset=0)
+        raise SourceSyntaxError(f"malformed literal {text.strip()!r}")
     sign, name, argtext = m.groups()
     args = tuple(a.strip() for a in argtext.split(",")) if argtext.strip() else ()
     if not args:
-        raise SourceSyntaxError(f"literal {name!r} has no arguments", offset=0)
+        raise SourceSyntaxError(f"literal {name!r} has no arguments")
     for arg in args:
         if not is_identifier(arg):
-            raise SourceSyntaxError(f"malformed argument {arg!r}", offset=0)
+            raise SourceSyntaxError(f"malformed argument {arg!r}")
         if not allow_variables and is_rule_variable(arg):
-            raise SourceSyntaxError(
-                f"variable {arg!r} in a ground literal", offset=0)
+            raise SourceSyntaxError(f"variable {arg!r} in a ground literal")
     return Literal(not sign, name, args)
 
 
@@ -201,19 +199,19 @@ def _join_source(plan: _Plan, pivot: int) -> tuple[str, dict]:
     ``new`` holds, and in a later round each of them stops where that
     tail starts, so a binding with a new fact before the pivot is left to
     the earlier pivot, which is joined first.  The innermost loop checks
-    the head's arguments against ``heads``, adds a new one to ``heads``
-    and appends it to ``out``, and returns once ``out`` holds more than
-    ``room``.  Predicates, constants and index keys enter as arguments of
-    ``bind``, so the source holds only generated names (``v`` and a slot
-    for a value, ``x`` and a position for an argument to check, and a
-    letter and a step: ``k`` for a key, ``a``/``n`` for what ``everything``
-    /``new`` hold under it, ``b`` a bucket, ``s`` a tail start, ``j`` a
-    loop counter) and integer positions.
+    the head's arguments against the sign map ``heads``, records a new
+    one there as positive, appends it to ``out``, and returns once ``out``
+    holds more than ``room``.  Predicates, constants and index keys enter
+    as arguments of ``bind``, so the source holds only generated names
+    (``v`` and a slot for a value, ``x`` and a position for an argument to
+    check, and a letter and a step: ``k`` for a key, ``a``/``n`` for what
+    ``everything``/``new`` hold under it, ``b`` a bucket, ``s`` a tail
+    start, ``j`` a loop counter) and integer positions.
     """
     values = {f"v{slot}": value for slot, value in enumerate(plan.seed)}
     values["e"] = {}
     lines = ["def join(everything, new, first, heads, out, room):",
-             " put, add = out.append, heads.add"]
+             " put, add = out.append, heads.__setitem__"]
     lookups = []  # for each step: what turns its ``a``/``n`` into its bucket
     for i, step in enumerate(plan.steps):
         values[f"k{i}"] = step.key
@@ -275,7 +273,7 @@ def _nest(plan: _Plan, pivot: int, lookups, *, first: bool, depth: int) -> list[
     pad = " " * (depth + len(plan.steps))
     lines += [f"{pad}h = " + "".join(f"v{slot}," for slot in plan.head),
               f"{pad}if h not in heads:",
-              f"{pad} add(h)",
+              f"{pad} add(h, True)",
               f"{pad} put(h)",
               f"{pad} if len(out) > room: return"]
     return lines
@@ -289,10 +287,10 @@ def parse_axiom(text: str) -> AxiomRule:
     """
     m = _AXIOM_RE.match(text)
     if m is None:
-        raise SourceSyntaxError(f"malformed axiom {text.strip()!r}", offset=0)
+        raise SourceSyntaxError(f"malformed axiom {text.strip()!r}")
     name, body_text, head_text = m.groups()
     if not body_text:
-        raise SourceSyntaxError(f"axiom {name!r} has an empty body", offset=0)
+        raise SourceSyntaxError(f"axiom {name!r} has an empty body")
     body = tuple(parse_literal(part, allow_variables=True)
                  for part in body_text.split("&"))
     head = parse_literal(head_text, allow_variables=True)
@@ -302,11 +300,13 @@ def parse_axiom(text: str) -> AxiomRule:
 class _Work:
     """The working set of the fact base whose ``literals`` it holds."""
 
-    __slots__ = ("literals", "members", "unmerged", "rules", "probes", "seen", "index", "pending")
+    __slots__ = ("literals", "signs", "rules", "probes", "index", "pending")
 
     def __init__(self, literals: tuple[Literal, ...]):
-        self.literals, self.members, self.unmerged = literals, set(literals), []
-        self.rules = None  # the rest comes with the first forward_chain
+        self.literals, self.signs = literals, defaultdict(dict)
+        for positive, predicate, args in literals:
+            self.signs[predicate][args] = positive
+        self.rules, self.probes, self.index, self.pending = (), {}, {}, {}
 
     def hand(self, literals: tuple[Literal, ...], retracted) -> "FactBase":
         kb = FactBase(literals, retracted)
@@ -326,12 +326,15 @@ class _Work:
 
 @dataclass(frozen=True)
 class FactBase:
-    """Insertion-ordered set of ground literals plus a retraction log.
+    """Insertion-ordered set of ground literals plus a retraction log; it
+    never holds both signs of one atom (every path here keeps that, and a
+    fact base built directly must too).
 
     An immutable value with a hidden working set that takes no part in
-    equality, hashing or ``repr``: the member set and, once chained, the
-    known heads per predicate (both signs), the join index for the rules
-    last chained under and the positive facts added since.  ``with_literal``,
+    equality, hashing or ``repr``: one sign map, predicate -> {args:
+    positive}, that is both the member test of ``with_literal`` and the
+    known heads of ``forward_chain``; the join index for the rules of the
+    last chain; and the positive facts added since.  ``with_literal``,
     ``assert_event`` and ``forward_chain`` update it in place, without a
     lock, and hand it to the fact base they return.  It holds the literal
     tuple it describes, so any other fact base that reaches it (an older
@@ -362,29 +365,27 @@ class FactBase:
     def _with(self, new) -> "FactBase":
         """``with_literal`` for each of ``new`` in turn, as one fact base."""
         work = self._work()
-        members, chained = work.members, work.rules is not None
-        members.update(work.unmerged)  # what forward_chain derived since
-        work.unmerged.clear()
+        signs, pending = work.signs, work.pending
         literals, retracted, grown = list(self.literals), self.retracted, False
         for literal in new:
-            if literal in members:
+            positive, predicate, args = literal
+            held = signs[predicate]
+            sign = held.get(args)
+            if sign == positive:
                 continue
-            contrary = literal.negated()
-            if contrary in members:
-                members.remove(contrary)
+            if sign is not None:  # the other sign is held
+                contrary = literal.negated()
                 literals.remove(contrary)
-                if contrary.positive:
+                if sign:
                     retracted += (contrary,)
                     # a fact not waiting for the next chain is in the index
-                    if chained and work.pending.pop(contrary, True):
+                    if pending.pop(contrary, True):
                         work.unindex(contrary)
-            members.add(literal)
+            held[args] = positive
             literals.append(literal)
             grown = True
-            if chained:
-                work.seen[literal.predicate].add(literal.args)
-                if literal.positive:
-                    work.pending[literal] = False
+            if positive:
+                pending[literal] = False
         return work.hand(tuple(literals), retracted) if grown else self
 
 
@@ -459,8 +460,8 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     arguments left to check and the arguments that bind new variables.
     On first use for a pivot position, the plan is compiled into a plain
     function of nested ``for`` loops, one per body literal, that checks
-    each head against the known and derived heads of its predicate and
-    collects the new ones (``_join_source``); it is cached on the plan,
+    each head against the sign map of its predicate and collects the new
+    ones (``_join_source``); it is cached on the plan,
     so loading rules compiles nothing.  No rule text reaches the
     generated source: predicates and constants enter as bound values.  A
     head becomes a ``Literal`` only once it is known to be new, and a
@@ -468,15 +469,16 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     rule stops before its cross product exists.  The heads a rule derives
     in a round share its head's shape, so they enter both indexes as one
     group (``_index``), in rule order and then discovery order; the first
-    round's facts enter grouped by shape (``_by_shape``).
+    round's new facts enter grouped by shape (``_by_shape``).
 
     The working set of ``kb`` (see ``FactBase``) keeps the index and the
-    known heads from one call to the next.  Under the rules it was last
-    chained under, the first round's new facts are the positive facts added
-    since; under other rules, or when ``kb`` rebuilt its working set, every
-    fact is new.  The result takes the working set over and equals, tuple for
-    tuple, the result of chaining ``FactBase(kb.literals, kb.retracted)``: the
-    facts chained before derive nothing new, and new facts end every bucket.
+    sign map from one call to the next; a head is new unless its atom is
+    held with either sign, as the event outranks the rules.  The first
+    round's new facts are those added since the last chain, or every fact
+    at the first chain and under other rules.  The result takes the
+    working set over and equals, tuple for tuple, the result of chaining
+    ``FactBase(kb.literals, kb.retracted)``: facts of earlier chains
+    derive nothing new, and new facts end every bucket.
 
     Raises BudgetExceededError once more than ``max_derived`` new facts
     appear, which catches runaway rule sets.
@@ -485,11 +487,6 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     work = kb._work()
     work.literals = None  # so that kb rebuilds it if this call fails
     if work.rules != rules:
-        # a head is new unless it is a known fact or a retracted (negative)
-        # one: the event outranks the rules
-        work.seen = defaultdict(set)
-        for _, predicate, args in kb.literals:
-            work.seen[predicate].add(args)
         # only the buckets that some body literal probes: for each shape,
         # each probed position with its family's key
         probes: dict[tuple[str, int], tuple[tuple[int, tuple], ...]] = {}
@@ -499,10 +496,9 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
                 if step.position is not None and (step.position, step.key) not in families:
                     probes[shape] = families + ((step.position, step.key),)
         work.rules, work.probes, work.index = rules, probes, {}
-        everything = delta = _index(_by_shape(kb.literals), probes, work.index)  # all new
-    else:
-        probes, everything = work.probes, work.index
-        delta = _index(_by_shape(work.pending), probes, everything, {})
+        work.pending = dict.fromkeys(kb.literals, False)  # every fact is new
+    probes, everything = work.probes, work.index
+    delta = _index(_by_shape(work.pending), probes, everything)
     work.pending = {}
     first = True
     derived: list[Literal] = []
@@ -515,7 +511,7 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
             pivots = [i for i, shape in enumerate(plan.shapes) if shape in delta]
             if first:  # one join, at the last pivot
                 pivots = pivots[-1:]
-            heads, out = work.seen[rule.head.predicate], []
+            heads, out = work.signs[rule.head.predicate], []
             room = max_derived - len(derived) - len(fresh)
             for pivot in pivots:
                 join = plan.joins[pivot] or _join(plan, pivot)
@@ -529,9 +525,8 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
         if not fresh:
             break
         derived += fresh
-        delta = _index(groups, probes, everything, {})
+        delta = _index(groups, probes, everything)
         first = False
-    work.unmerged += derived
     return work.hand(kb.literals + tuple(derived), kb.retracted)
 
 
@@ -545,17 +540,18 @@ def _by_shape(facts):
     return groups.items()
 
 
-def _index(groups, probes, *indexes) -> dict:
+def _index(groups, probes, everything) -> dict:
     """For each ``(shape, args list)`` of ``groups`` whose shape ``probes``
-    holds, append the list to the list under that shape in each of
-    ``indexes``, and each args to the list under its argument in the dict
-    under (predicate, arity, position) for each position ``probes`` names;
-    returns the last.  Each group looks its lists and dicts up once."""
+    holds, append the list to the list under that shape in ``everything``
+    and in a new delta, and each args to the list under its argument in
+    the dict under (predicate, arity, position) for each position
+    ``probes`` names; returns the delta.  A group looks each up once."""
+    delta: dict = {}
     for shape, facts in groups:
         positions = probes.get(shape)
         if positions is None:
             continue
-        for index in indexes:
+        for index in (everything, delta):
             scan = index.get(shape)
             if scan is None:
                 scan = index[shape] = []
@@ -565,7 +561,7 @@ def _index(groups, probes, *indexes) -> dict:
                 family = index[key]
                 for args in facts:
                     family.setdefault(args[position], []).append(args)
-    return indexes[-1]
+    return delta
 
 
 @dataclass(frozen=True)

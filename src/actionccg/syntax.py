@@ -42,7 +42,7 @@ _SCAN_RE = re.compile(rf"""\s*(?:
   | (?P<DOT>\.) | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<COMMA>,) | (?P<AND>&)
   | (?P<OR>\|) | (?P<NOT>!) | (?P<EOF>\Z) | (?P<BAD>.))""",
                       re.VERBOSE | re.DOTALL)
-_KEYWORDS = ("forall", "exists")
+KEYWORDS = ("forall", "exists")
 # Deepest nesting a term may have.  The parser spends up to three stack
 # frames per level and the recursive term walkers up to two (their own
 # and, in ``_subst`` and ``_render``, a list comprehension's), so a term
@@ -80,7 +80,7 @@ class Tokens:
             if kind == "BAD":
                 raise SourceSyntaxError(f"unexpected character {word!r}",
                                         offset=offset)
-            self.items.append((word.upper() if word in _KEYWORDS else kind,
+            self.items.append((word.upper() if word in KEYWORDS else kind,
                                word, offset))
         self.i = 0
 

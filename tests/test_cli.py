@@ -139,6 +139,17 @@ class TestParseCommand:
         assert code == 0 and err == ""
         assert out == f"{token.lower()}(knife,cucumber)  p=1.000\n"
 
+    @pytest.mark.parametrize("token", ["Pick-up", "Forall"])
+    def test_an_unknown_token_that_names_no_predicate_stays_unknown(
+            self, capsys, token):
+        # its lower case is no identifier, or a quantifier keyword, so no
+        # action template can hold it
+        code, out, err = run(capsys, "parse",
+                             "--lexicon", str(data_path("basic.lex")),
+                             f"Knife {token} Cucumber")
+        assert code == 1 and out == ""
+        assert err == f"error: unknown tokens: {token}\n"
+
     def test_quantified_sentence(self, capsys):
         code, out, _ = run(capsys, "parse",
                            "--lexicon", str(data_path("quantifier.lex")),
@@ -574,6 +585,18 @@ class TestErrorPaths:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}, line 2: ") and err.count("\n") == 1
+
+    def test_a_rule_error_carries_no_offset_it_does_not_know(self, capsys,
+                                                             tmp_path):
+        path = tmp_path / "bad.rules"
+        path.write_text("axiom a: p(X) => q(X)\n"
+                        "axiom b: p(X) & q(X, Y Z) => r(X)\n", encoding="utf-8")
+        code, out, err = run(capsys, "reason",
+                             "--lexicon", str(data_path("basic.lex")),
+                             "--sequence", str(data_path("casestudy1.seq")),
+                             "--axioms", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}, line 2: malformed argument 'Y Z'\n"
 
     def test_variable_shaped_constant_is_one_diagnostic_line(self, capsys,
                                                              tmp_path):

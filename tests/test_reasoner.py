@@ -8,10 +8,10 @@ from dataclasses import replace
 from functools import reduce
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 precondition, rule)
+                                 invariant, precondition, rule)
 
 from actionccg import load_axioms, parse_term, reasoning
 from actionccg.corpus import data_path
@@ -436,7 +436,7 @@ class TestJoinPlan:
         # new fact made 329 checks
         checks = []
 
-        class Heads(set):
+        class Heads(dict):
             def __contains__(self, args):
                 checks.append(args)
                 return super().__contains__(args)
@@ -791,9 +791,28 @@ class WorkingSetMachine(RuleBasedStateMachine):
         kb = self.older[-min(back, len(self.older))]
         self.move_to(kb if how is None else how(kb))
 
+    @invariant()
+    def working_set_is_the_literals(self):
+        """A working set the fact base owns holds each atom once, with the
+        sign the literals give it, and indexes every positive fact but
+        those added since the last chain."""
+        kb, work = self.kb, self.kb.work
+        if work is None or work.literals is not kb.literals:
+            return
+        signs = {}
+        for positive, predicate, args in kb.literals:
+            signs.setdefault(predicate, {})[args] = positive
+        # a chain leaves an empty map for a head predicate with no facts
+        assert {p: held for p, held in work.signs.items() if held} == signs
+        indexed = [l for l in kb.literals if l not in work.pending]
+        assert without_empty_buckets(work.index) == fresh_index(indexed, work.rules)
 
+
+# no shrink phase: shrinking 30-step runs, each re-chained against the
+# oracle, made a failure take minutes to report
 WorkingSetMachine.TestCase.settings = settings(
-    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True)
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate))
 TestWorkingSet = WorkingSetMachine.TestCase
 
 
