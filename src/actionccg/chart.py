@@ -12,27 +12,31 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import NoParseError, NonFiniteWeightError, UnknownTokenError
 from .grammar import (GOAL_CATEGORY, Category, LexEntry, Lexicon, combine,
                       render_category, unary_project)
 from .terms import (Const, Term, canonical, predications, rename_constants,
                     stem)
+from .value import Value, store
 
 FeatureKey = tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """One parse tree node over the tokens of ``span``: a leaf holds its
     ``entry``, any other node its ``kids``, ``(left, right)`` or ``(d,)``."""
 
-    category: Category
-    semantics: Term
-    span: tuple[int, int]
-    entry: LexEntry | None = None
-    kids: tuple["Derivation", ...] = ()
+    __slots__ = _fields = ("category", "semantics", "span", "entry", "kids")
+
+    def __init__(self, category: Category, semantics: Term,
+                 span: tuple[int, int], entry: LexEntry | None = None,
+                 kids: tuple[Derivation, ...] = ()):
+        store(self, "category", category)
+        store(self, "semantics", semantics)
+        store(self, "span", span)
+        store(self, "entry", entry)
+        store(self, "kids", kids)
 
     def feature_counts(self) -> Counter:
         """Lexical entry usage counts; sums to the token count."""
@@ -57,13 +61,15 @@ class Derivation:
         return f"[{cat} {' '.join(kid.tree() for kid in self.kids)}]"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(Value):
     """Highest-probability logical form and its probability; its derivations
     are those of ``parse_all`` whose semantics share its ``canonical``."""
 
-    logical_form: Term
-    probability: float
+    __slots__ = _fields = ("logical_form", "probability")
+
+    def __init__(self, logical_form: Term, probability: float):
+        store(self, "logical_form", logical_form)
+        store(self, "probability", probability)
 
 
 def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:

@@ -18,10 +18,8 @@ load back as the records they were given.
 from __future__ import annotations
 
 import math
-import random
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
@@ -33,14 +31,17 @@ from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
 from .syntax import is_identifier, parse_term, variable_shape_note
 from .terms import (beta_reduce, free_vars, predications, render,
                     rename_constants)
+from .value import Value, store
 
 
-@dataclass(frozen=True)
-class SequenceFile:
+class SequenceFile(Value):
     """An ordered run of detector triplets from one observation."""
 
-    name: str
-    triplets: tuple[tuple[str, str, str], ...]
+    __slots__ = _fields = ("name", "triplets")
+
+    def __init__(self, name: str, triplets: tuple[tuple[str, str, str], ...]):
+        store(self, "name", name)
+        store(self, "triplets", triplets)
 
 
 def data_path(name: str) -> Path:
@@ -227,6 +228,8 @@ def synthesize_corpus(base, objects, replicas: int = 15,
     if replicas > 1 and len(pool) < 2:
         raise InvalidConfigError(
             f"replicas above 1 need at least two object names, got {len(pool)}")
+    import random  # here alone, so that loading the package does not load it
+
     rng = random.Random(seed)
     out: list[TrainingSample] = []
     for sample in base:

@@ -18,40 +18,45 @@ implication (or is conjoined when there is none).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .errors import NonFiniteWeightError, SourceSyntaxError
 from .syntax import MAX_DEPTH, Tokens, check_depth
 from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
                     And, all_names, beta_reduce, canonical, free_vars,
                     fresh_name, stem, substitute)
+from .value import Value, store
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
 
 
-class Category:
+class Category(Value):
     __slots__ = ()
 
     def __str__(self) -> str:
         return render_category(self)
 
 
-@dataclass(frozen=True)
 class Atom(Category):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        store(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Forward(Category):
-    result: Category
-    arg: Category
+class _Slash(Category):
+    __slots__ = _fields = ("result", "arg")
+
+    def __init__(self, result: Category, arg: Category):
+        store(self, "result", result)
+        store(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Backward(Category):
-    result: Category
-    arg: Category
+class Forward(_Slash):
+    __slots__ = ()
+
+
+class Backward(_Slash):
+    __slots__ = ()
 
 
 N = Atom("N")
@@ -130,37 +135,40 @@ def _category_part(toks: Tokens, depth: int) -> tuple[Category, int, int]:
     return Atom(value), 1, pos + len(value)
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(Value):
     """One lexicon line: token, category, semantics, weight.  An infinite
-    or NaN weight raises NonFiniteWeightError."""
+    or NaN weight raises NonFiniteWeightError.
 
-    token: str
-    category: Category
-    semantics: Term
-    weight: float = 0.0
+    ``key`` is its identity for feature counting, ``(token, rendered
+    category, canonical semantics)``: a weight change keeps the key.  It is
+    computed when the entry is built and takes no part in equality."""
 
-    def __post_init__(self):
-        if not math.isfinite(self.weight):
+    _fields = ("token", "category", "semantics", "weight")
+    __slots__ = _fields + ("key", "_stems")
+
+    def __init__(self, token: str, category: Category, semantics: Term,
+                 weight: float = 0.0):
+        store(self, "token", token)
+        store(self, "category", category)
+        store(self, "semantics", semantics)
+        store(self, "weight", weight)
+        key = (token, render_category(category), canonical(semantics))
+        store(self, "key", key)
+        if not math.isfinite(weight):
             raise NonFiniteWeightError(
-                f"non-finite weight {self.weight!r} for {self.token} := "
-                f"{self.key[1]} : {self.key[2]}")
+                f"non-finite weight {weight!r} for {token} := {key[1]} : {key[2]}")
 
-    @cached_property
-    def key(self) -> tuple[str, str, str]:
-        """Identity for feature counting: weight changes keep the key.
-
-        Computed once per entry object; ``replace`` makes a new object.
-        """
-        return (self.token, render_category(self.category),
-                canonical(self.semantics))
-
-    @cached_property
+    @property
     def stems(self) -> frozenset[str]:
         """The ``stem`` of each name in ``semantics``, so also of each name
-        ``fresh_name`` can invent for its binders.  Computed once per entry
-        object, like ``key``."""
-        return frozenset(stem(name) for name in all_names(self.semantics))
+        ``fresh_name`` can invent for its binders.  Computed on first use,
+        once per entry object."""
+        try:
+            return self._stems
+        except AttributeError:
+            stems = frozenset(stem(name) for name in all_names(self.semantics))
+            store(self, "_stems", stems)
+            return stems
 
     def __str__(self) -> str:
         return (f"{self.token} := {render_category(self.category)} : "
@@ -182,7 +190,8 @@ class Lexicon:
         for entry in entries:
             first = merged.setdefault(entry.key, entry)
             if entry.weight > first.weight:
-                merged[entry.key] = replace(first, weight=entry.weight)
+                merged[entry.key] = LexEntry(first.token, first.category,
+                                             first.semantics, entry.weight)
         self._by_key = merged
         self._folded: dict[str, list[LexEntry]] = {}
         for entry in merged.values():
@@ -212,7 +221,8 @@ class Lexicon:
 
     def with_weights(self, weights: dict[tuple[str, str, str], float]) -> "Lexicon":
         """Reweight entries by key; an infinite or NaN weight is an error."""
-        return Lexicon(replace(e, weight=weights.get(e.key, e.weight))
+        return Lexicon(LexEntry(e.token, e.category, e.semantics,
+                                weights.get(e.key, e.weight))
                        for e in self)
 
 

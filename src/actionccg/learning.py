@@ -13,7 +13,6 @@ import math
 import re
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import (DegenerateCorpusError, InductionFailureError,
                      InvalidConfigError, NoParseError, NonFiniteWeightError,
@@ -24,40 +23,40 @@ from .grammar import (AP, Backward, Forward, N, NP, LexEntry, Lexicon,
 from .syntax import KEYWORDS, is_identifier, parse_term
 from .terms import (Const, Lam, Term, alpha_eq, canonical, fresh_name,
                     inverse_lambda)
+from .value import Value, store
 
 OBJECT_TOKEN_RE = re.compile(r"object_[0-9]+\Z", re.IGNORECASE)
 ACTION_CATEGORY = Forward(Backward(AP, NP), NP)
 UNKNOWN_WEIGHT = -1.0
 
 
-@dataclass(frozen=True)
-class TrainingSample:
+class TrainingSample(Value):
     """A detector triplet and its annotated consequence expression."""
 
-    tokens: tuple[str, str, str]
-    gold: Term
+    __slots__ = _fields = ("tokens", "gold")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+    def __init__(self, tokens: tuple[str, str, str], gold: Term):
+        store(self, "tokens", tuple(tokens))
+        store(self, "gold", gold)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Value):
     """Settings of ``train``; building one out of range raises
     InvalidConfigError."""
 
-    iterations: int = 100
-    learning_rate: float = 0.1
-    l2: float = 0.0
+    __slots__ = _fields = ("iterations", "learning_rate", "l2")
 
-    def __post_init__(self):
-        if self.iterations < 0:
+    def __init__(self, iterations: int = 100, learning_rate: float = 0.1,
+                 l2: float = 0.0):
+        if iterations < 0:
             raise InvalidConfigError(
-                f"iterations must be at least 0, got {self.iterations}")
-        for name in ("learning_rate", "l2"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfigError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+                f"iterations must be at least 0, got {iterations}")
+        for name, value in (("learning_rate", learning_rate), ("l2", l2)):
+            if not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value!r}")
+        store(self, "iterations", iterations)
+        store(self, "learning_rate", learning_rate)
+        store(self, "l2", l2)
 
 
 def inject_templates(tokens, lexicon: Lexicon) -> Lexicon:
@@ -176,8 +175,17 @@ def log_likelihood(corpus, lexicon: Lexicon) -> float:
 
 
 def _total(prepared, lexicon: Lexicon) -> float:
-    theta = {e.key: e.weight for e in lexicon}
-    return sum(_fit_row(rows, theta) for rows in prepared)
+    return _objective(prepared, {e.key: e.weight for e in lexicon}, 0.0)
+
+
+def _objective(prepared, theta, l2: float, grad=None) -> float:
+    """What ``train`` ascends: the log-likelihood of the ``prepared`` rows
+    under ``theta`` less ``l2 / 2`` times its squared weights.  Given
+    ``grad``, also adds the log-likelihood's gradient (``_fit_row``)."""
+    value = sum(_fit_row(rows, theta, grad) for rows in prepared)
+    if l2:
+        value -= l2 / 2 * sum(weight * weight for weight in theta.values())
+    return value
 
 
 def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexicon:
@@ -185,14 +193,18 @@ def train(corpus, lexicon: Lexicon, config: TrainConfig = TrainConfig()) -> Lexi
 
     The gradient of each entry weight is the expected usage count under
     derivations matching the annotation minus the expectation under all
-    derivations, less the l2 pull toward zero.  Returns the lexicon with
-    updated weights; everything else is untouched.  Raises
-    NonFiniteWeightError, naming the iteration, as soon as a weight turns
-    infinite or NaN.
+    derivations, less the l2 pull toward zero.  Each iteration tries a
+    step of ``config.learning_rate`` times that gradient and halves the
+    step until the objective, the log-likelihood less ``l2 / 2`` times the
+    squared weights, does not fall; so the objective never falls from one
+    iteration to the next.  Returns the lexicon with updated weights;
+    everything else is untouched.  Raises NonFiniteWeightError, naming the
+    iteration, as soon as a step would turn a weight infinite or NaN.
 
     ``config.iterations`` caps the passes: training stops early after a
     pass that leaves every weight bit for bit unchanged (``-0.0`` to
-    ``0.0`` is a change), since every later pass would repeat it exactly.
+    ``0.0`` is a change), as when no step size helps, since every later
+    pass would repeat it exactly.
     """
     return _descend(_prepare(corpus, lexicon), lexicon, config)
 
@@ -213,21 +225,29 @@ def _descend(prepared, lexicon: Lexicon, config: TrainConfig) -> Lexicon:
                                     "to its annotation")
     # a row whose derivations all match its annotation adds exactly +0.0
     prepared = [rows for rows in prepared if not all(gold for _, gold in rows)]
+    l2 = config.l2
     theta = {e.key: e.weight for e in lexicon}
     for iteration in range(1, config.iterations + 1):
         grad = defaultdict(float)
-        for rows in prepared:
-            _fit_row(rows, theta, grad)
-        moved = False
-        for key, weight in theta.items():
-            new = weight + config.learning_rate * (grad[key] - config.l2 * weight)
-            if not math.isfinite(new):
-                token, category, semantics = key
-                raise NonFiniteWeightError(
-                    f"non-finite weight {new!r} for {token} := {category} "
-                    f": {semantics} at training iteration {iteration}")
-            moved = moved or new.hex() != float(weight).hex()
-            theta[key] = new
+        value = _objective(prepared, theta, l2, grad)
+        ascent = {key: grad[key] - l2 * weight for key, weight in theta.items()}
+        step = config.learning_rate
+        while True:
+            trial = {}
+            for key, weight in theta.items():
+                new = weight + step * ascent[key]
+                if not math.isfinite(new):
+                    token, category, semantics = key
+                    raise NonFiniteWeightError(
+                        f"non-finite weight {new!r} for {token} := {category} "
+                        f": {semantics} at training iteration {iteration}")
+                trial[key] = new
+            # a step that moves no weight leaves the objective as it is
+            if _objective(prepared, trial, l2) >= value:
+                break
+            step /= 2
+        moved = any(new.hex() != float(theta[key]).hex() for key, new in trial.items())
+        theta = trial
         if not moved:
             break
     return lexicon.with_weights(theta)

@@ -12,15 +12,15 @@ fixpoint under a derivation cap.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
+from collections.abc import Callable
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from .errors import (BudgetExceededError, MalformedEventError,
                      RangeRestrictionError, SourceSyntaxError)
 from .syntax import IDENT, is_identifier, variable_shape_note
 from .terms import And, Const, Implies, Not, Pred, Term, Var
+from .value import Value, store
 
 MAX_DERIVED = 100_000
 # a rule joins as one nested loop per body literal, and Python compiles at
@@ -32,13 +32,7 @@ _LITERAL_RE = re.compile(rf"\s*(!?)\s*({IDENT})\s*\(([^()]*)\)\s*\Z")
 _AXIOM_RE = re.compile(rf"\s*axiom\s+({IDENT})\s*:\s*(.*?)\s*=>\s*(.*?)\s*\Z")
 
 
-class _LiteralFields(NamedTuple):
-    positive: bool
-    predicate: str
-    args: tuple[str, ...]
-
-
-class Literal(_LiteralFields):
+class Literal(namedtuple("_LiteralFields", ("positive", "predicate", "args"))):
     """A ground or pattern literal; uppercase-initial args are variables.
 
     An immutable tuple ``(positive, predicate, args)``, so equality,
@@ -84,48 +78,40 @@ def parse_literal(text: str, *, allow_variables: bool = False) -> Literal:
     return Literal(not sign, name, args)
 
 
-class _Step(NamedTuple):
-    """One body literal of a join plan, fixed when the rule is built."""
+# One body literal of a join plan, fixed when the rule is built:
+# key: the index key read, (predicate, arity[, position]);
+# position: the argument whose bucket is probed, or None to scan them all;
+# slot: the binding slot that holds the probed argument's value;
+# check: (argument, slot) of the other arguments already known;
+# bind: (argument, slot) of each new variable.
+_Step = namedtuple("_Step", ("key", "position", "slot", "check", "bind"))
 
-    key: tuple  # the index key read: (predicate, arity[, position])
-    position: int | None  # argument whose bucket is probed; None: scan all
-    slot: int  # the binding slot that holds the probed argument's value
-    check: tuple[tuple[int, int], ...]  # (argument, slot) of the others already known
-    bind: tuple[tuple[int, int], ...]  # (argument, slot) of each new variable
-
-
-class _Plan(NamedTuple):
-    """A rule compiled for ``forward_chain``.  Its values are numbered in
-    slots, the rule's constants first and then its variables in order of
-    first occurrence; ``joins`` caches the join of each pivot position."""
-
-    seed: tuple[str, ...]  # the constants
-    steps: tuple[_Step, ...]
-    shapes: tuple[tuple[str, int], ...]  # (predicate, arity) of each step
-    head: tuple[int, ...]  # the slot of each head argument
-    joins: list  # pivot position -> join function, or None until first use
+# A rule compiled for ``forward_chain``.  Its values are numbered in slots,
+# the rule's constants first and then its variables in order of first
+# occurrence.  seed: the constants; steps: one _Step per body literal;
+# shapes: (predicate, arity) of each step; head: the slot of each head
+# argument; joins: pivot position -> join function, or None until first use.
+_Plan = namedtuple("_Plan", ("seed", "steps", "shapes", "head", "joins"))
 
 
-@dataclass(frozen=True)
-class AxiomRule:
+class AxiomRule(Value):
     """Horn rule: positive body literals implying one positive head.
 
-    Building one plans its joins, and raises SourceSyntaxError for a
+    Building one plans its joins (``plan``, which takes no part in
+    equality, hashing or ``repr``), and raises SourceSyntaxError for a
     negated literal or more than ``MAX_BODY`` body literals, and
     RangeRestrictionError if a head variable occurs in no body literal.
     It pickles as its fields and plans its joins again on load.
     """
 
-    name: str
-    body: tuple[Literal, ...]
-    head: Literal
-    plan: _Plan = field(init=False, compare=False, repr=False)
+    _fields = ("name", "body", "head")
+    __slots__ = _fields + ("plan",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "plan", _compile(self))
-
-    def __reduce__(self):
-        return AxiomRule, (self.name, self.body, self.head)
+    def __init__(self, name: str, body: tuple[Literal, ...], head: Literal):
+        store(self, "name", name)
+        store(self, "body", body)
+        store(self, "head", head)
+        store(self, "plan", _compile(self))
 
 
 def _compile(rule: AxiomRule) -> _Plan:
@@ -310,7 +296,7 @@ class _Work:
 
     def hand(self, literals: tuple[Literal, ...], retracted) -> "FactBase":
         kb = FactBase(literals, retracted)
-        object.__setattr__(kb, "work", self)
+        store(kb, "work", self)
         self.literals = literals
         return kb
 
@@ -324,8 +310,7 @@ class _Work:
                 self.index[key][args[position]].remove(args)
 
 
-@dataclass(frozen=True)
-class FactBase:
+class FactBase(Value):
     """Insertion-ordered set of ground literals plus a retraction log; it
     never holds both signs of one atom (every path here keeps that, and a
     fact base built directly must too).
@@ -342,16 +327,18 @@ class FactBase:
     two tuples only and rebuilds its working set on first use.
     """
 
-    literals: tuple[Literal, ...] = ()
-    retracted: tuple[Literal, ...] = ()
-    work: _Work | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("literals", "retracted")
+    __slots__ = _fields + ("work",)
 
-    def __reduce__(self):
-        return FactBase, (self.literals, self.retracted)
+    def __init__(self, literals: tuple[Literal, ...] = (),
+                 retracted: tuple[Literal, ...] = ()):
+        store(self, "literals", literals)
+        store(self, "retracted", retracted)
+        store(self, "work", None)
 
     def _work(self) -> _Work:
         if self.work is None or self.work.literals is not self.literals:
-            object.__setattr__(self, "work", _Work(self.literals))
+            store(self, "work", _Work(self.literals))
         return self.work
 
     def with_literal(self, literal: Literal) -> "FactBase":
@@ -564,13 +551,16 @@ def _index(groups, probes, everything) -> dict:
     return delta
 
 
-@dataclass(frozen=True)
-class ConsequenceReport:
+class ConsequenceReport(Value):
     """What a sequence ended up asserting, deducing, and retracting."""
 
-    observed: tuple[Literal, ...]
-    deduced: tuple[Literal, ...]
-    retracted: tuple[Literal, ...]
+    __slots__ = _fields = ("observed", "deduced", "retracted")
+
+    def __init__(self, observed: tuple[Literal, ...], deduced: tuple[Literal, ...],
+                 retracted: tuple[Literal, ...]):
+        store(self, "observed", observed)
+        store(self, "deduced", deduced)
+        store(self, "retracted", retracted)
 
     def tsv_lines(self) -> list[str]:
         lines = [f"observed\t{l}" for l in self.observed]

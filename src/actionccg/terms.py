@@ -1,9 +1,10 @@
 """Lambda-calculus terms used as logical forms for manipulation actions.
 
-Terms are immutable trees.  ``Pred`` covers saturated predications such as
-``cut(knife,cucumber)``; an application whose function is still unknown
-(a bound name, as in ``\\f.forall x.f(x)``) is kept as an ``App`` spine and
-collapses into a ``Pred`` as soon as reduction reveals an atomic head.
+Terms are immutable trees of ``value.Value`` nodes.  ``Pred`` covers
+saturated predications such as ``cut(knife,cucumber)``; an application
+whose function is still unknown (a bound name, as in
+``\\f.forall x.f(x)``) is kept as an ``App`` spine and collapses into a
+``Pred`` as soon as reduction reveals an atomic head.
 All operations are pure, so sharing terms across threads is safe.
 
 Every node lists its direct subterms from left to right with ``kids()``
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ConstantFunctionWarning, NonTerminationError
+from .value import Value, store
 
 DEFAULT_STEP_BUDGET = 10_000
 # The shape rule lives here, not in ``syntax`` (which imports this module),
@@ -35,7 +36,7 @@ def is_variable_name(name: str) -> bool:
     return bool(_VAR_SHAPE_RE.fullmatch(name))
 
 
-class Term:
+class Term(Value):
     """Base class for logical-form nodes; a leaf has no kids."""
 
     __slots__ = ()
@@ -52,23 +53,26 @@ class Term:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        store(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        store(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Pred(Term):
-    name: str
-    args: tuple[Term, ...]
+    __slots__ = _fields = ("name", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, args: tuple[Term, ...]):
+        store(self, "name", name)
+        store(self, "args", tuple(args))
 
     def kids(self) -> tuple[Term, ...]:
         return self.args
@@ -77,10 +81,12 @@ class Pred(Term):
         return Pred(self.name, kids)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = _fields = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        store(self, "fun", fun)
+        store(self, "arg", arg)
 
     def kids(self) -> tuple[Term, ...]:
         return (self.fun, self.arg)
@@ -89,9 +95,11 @@ class App(Term):
         return App(*kids)
 
 
-@dataclass(frozen=True)
 class Not(Term):
-    body: Term
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Term):
+        store(self, "body", body)
 
     def kids(self) -> tuple[Term, ...]:
         return (self.body,)
@@ -100,10 +108,12 @@ class Not(Term):
         return Not(*kids)
 
 
-@dataclass(frozen=True)
 class _Connective(Term):
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        store(self, "left", left)
+        store(self, "right", right)
 
     def kids(self) -> tuple[Term, ...]:
         return (self.left, self.right)
@@ -113,15 +123,15 @@ class _Connective(Term):
 
 
 class And(_Connective):
-    pass
+    __slots__ = ()
 
 
 class Or(_Connective):
-    pass
+    __slots__ = ()
 
 
 class Implies(_Connective):
-    pass
+    __slots__ = ()
 
 
 class Binder(Term):
@@ -140,28 +150,32 @@ class Binder(Term):
         return type(self)(name, body)
 
 
-@dataclass(frozen=True)
 class Lam(Binder):
-    param: str
-    body: Term
+    __slots__ = _fields = ("param", "body")
+
+    def __init__(self, param: str, body: Term):
+        store(self, "param", param)
+        store(self, "body", body)
 
     binds = property(attrgetter("param"))
 
 
-@dataclass(frozen=True)
 class _Quantifier(Binder):
-    var: str
-    body: Term
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Term):
+        store(self, "var", var)
+        store(self, "body", body)
 
     binds = property(attrgetter("var"))
 
 
 class Forall(_Quantifier):
-    pass
+    __slots__ = ()
 
 
 class Exists(_Quantifier):
-    pass
+    __slots__ = ()
 
 
 def free_vars(term: Term) -> frozenset[str]:

@@ -477,7 +477,7 @@ class TestErrorPaths:
                              "--corpus", str(data_path("table1.corpus")),
                              "--seed", str(weighted_seed(tmp_path)),
                              "--out", str(out_path), "--lr", "1e300",
-                             "--l2", "1", "--iters", "2")
+                             "--l2", "-1", "--iters", "2")
         assert code == 1 and out == "" and not out_path.exists()
         assert err.startswith("error: non-finite weight")
         assert err.count("\n") == 1
@@ -489,7 +489,7 @@ class TestErrorPaths:
                              "--corpus", str(data_path("table1.corpus")),
                              "--seed", str(weighted_seed(tmp_path)),
                              "--out", str(out_path), "--lr", "1e6",
-                             "--l2", "1", "--iters", "1000000")
+                             "--l2", "-1", "--iters", "1000000")
         assert code == 1 and out == "" and not out_path.exists()
         assert err == ("error: non-finite weight inf for Knife := N : knife "
                        "at training iteration 52\n")

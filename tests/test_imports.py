@@ -67,12 +67,27 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(path) == ["Const", "re"]
 
 
-def test_the_cli_module_does_not_load_importlib_resources():
+def cli_modules():
+    """The modules loaded once ``import actionccg.cli`` has run."""
     # ``-S`` keeps the .pth hooks of site-packages from importing modules
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import actionccg.cli; "
-            "print('importlib.resources' in sys.modules)")
+            "import actionccg.cli; print('\\n'.join(sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", code,
                            str(PACKAGE.parent)],
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    return set(done.stdout.splitlines())
+
+
+def test_the_cli_module_does_not_load_importlib_resources():
+    assert "importlib.resources" not in cli_modules()
+
+
+def test_the_cli_module_loads_no_dataclasses_inspect_typing_or_random():
+    # the value classes need neither ``dataclasses`` (which loads
+    # ``inspect``) nor ``typing``, and only ``synthesize_corpus`` ``random``
+    assert {"dataclasses", "inspect", "typing", "random"} & cli_modules() == set()
+
+
+def test_no_module_imports_dataclasses():
+    for path in PACKAGE.glob("*.py"):
+        assert "dataclasses" not in set(absolute_imports(path)), path.name

@@ -1,6 +1,7 @@
 """Induction, templates, and likelihood training."""
 
 import math
+import random
 import warnings
 from collections import defaultdict
 
@@ -16,7 +17,7 @@ from actionccg.errors import (DegenerateCorpusError, InductionFailureError,
                               SkippedSampleWarning)
 from actionccg.grammar import LexEntry, Lexicon, N, parse_category
 from actionccg.learning import (ACTION_CATEGORY, TrainConfig, TrainingSample,
-                                induce_corpus_entries, induce_entries,
+                                fit, induce_corpus_entries, induce_entries,
                                 inject_templates, log_likelihood, train)
 from actionccg.terms import App, Const, alpha_eq, beta_reduce
 
@@ -340,6 +341,53 @@ class TestTrainFixedPoint:
         assert [float(e.weight).hex() for e in trained] == ["0x0.0p+0"] * len(trained)
 
 
+def knife_cutting_tomato(k, m, seed=0):
+    """``knife cutting tomato`` annotated ``k`` times ``-> divided(tomato)``
+    and ``m`` times ``-> moved(tomato)``, in an order shuffled by ``seed``,
+    and a lexicon with one ``cutting`` entry for each reading.  The
+    likelihood is highest at P(divided) = k / (k + m)."""
+    lexicon = Lexicon([noun("Knife"), noun("Tomato")] + [
+        LexEntry("cutting", ACTION_CATEGORY,
+                 parse_term(rf"\x.\y.cutting(x,y) -> {effect}(y)"))
+        for effect in ("divided", "moved")])
+    rows = [sample("knife cutting tomato", f"cutting(knife,tomato) -> {effect}(tomato)")
+            for effect in ["divided"] * k + ["moved"] * m]
+    random.Random(seed).shuffle(rows)
+    return rows, lexicon
+
+
+class TestTrainReachesTheOptimum:
+    @pytest.mark.parametrize("k, m", [(3, 1), (75, 25), (300, 100)])
+    def test_fit_reaches_the_closed_form(self, k, m):
+        rows, lexicon = knife_cutting_tomato(k, m, seed=k)
+        trained, final = fit(rows, lexicon)
+        divided = parse_term("cutting(knife,tomato) -> divided(tomato)")
+        share = parse_probability(divided, ["knife", "cutting", "tomato"], trained)
+        assert share == pytest.approx(k / (k + m), abs=1e-6)
+        optimum = k * math.log(k / (k + m)) + m * math.log(m / (k + m))
+        assert final == pytest.approx(optimum, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 99),
+           st.sampled_from([0.1, 1.0, 3.0]), st.sampled_from([0.0, 0.5]),
+           st.lists(st.sampled_from(WEIGHTS), min_size=2, max_size=2))
+    def test_the_objective_never_falls(self, k, m, seed, lr, l2, weights):
+        rows, lexicon = knife_cutting_tomato(k, m, seed)
+        senses = [e.key for e in lexicon.lookup("cutting")]
+        lexicon = lexicon.with_weights(dict(zip(senses, weights)))
+
+        def objective(lexicon):
+            return (log_likelihood(rows, lexicon)
+                    - l2 / 2 * sum(e.weight * e.weight for e in lexicon))
+
+        history = [objective(lexicon)]
+        for _ in range(6):  # one pass at a time, as one run of six passes
+            lexicon = train(rows, lexicon, TrainConfig(1, lr, l2))
+            history.append(objective(lexicon))
+        assert all(later >= earlier - 1e-12 * abs(earlier)
+                   for earlier, later in zip(history, history[1:]))
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("settings", [
         {"iterations": -1}, {"learning_rate": math.inf},
@@ -355,9 +403,10 @@ class TestTrainConfig:
         corpus = [sample("spoon stirring bucket", "stirring(spoon,bucket)")]
         lexicon = NOUNS.with_entries(induce_entries(corpus[0], NOUNS))
         lexicon = lexicon.with_weights({lexicon.lookup("Cup")[0].key: 1.0})
-        # the l2 step multiplies the weight by 1 - 1e6 each iteration, so it
-        # overflows at iteration 52, long before the millionth
-        config = TrainConfig(iterations=1_000_000, learning_rate=1e6, l2=1.0)
+        # a negative l2 rewards large weights, so each full step raises the
+        # objective and multiplies the weight by 1 + 1e6: it overflows at
+        # iteration 52, long before the millionth
+        config = TrainConfig(iterations=1_000_000, learning_rate=1e6, l2=-1.0)
         with pytest.raises(NonFiniteWeightError,
                            match=r"for Cup := N : cup at training iteration 52$"):
             train(corpus, lexicon, config)

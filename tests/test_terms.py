@@ -1,6 +1,5 @@
 """Unit tests for the term layer: substitution, reduction, equality."""
 
-import dataclasses
 import typing
 
 import pytest
@@ -261,12 +260,15 @@ def concrete_term_classes():
 
 
 def field_types(cls):
-    hints = typing.get_type_hints(cls)
-    return [hints[field.name] for field in dataclasses.fields(cls)]
+    """The annotated type of each field, from the ``__init__`` parameters,
+    which are the fields in order."""
+    hints = typing.get_type_hints(cls.__init__)
+    assert list(hints) == list(cls._fields)
+    return [hints[name] for name in cls._fields]
 
 
 def field_values(node):
-    return [getattr(node, field.name) for field in dataclasses.fields(node)]
+    return [getattr(node, name) for name in node._fields]
 
 
 def sample_node(cls):
