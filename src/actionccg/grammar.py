@@ -141,22 +141,33 @@ class LexEntry(Value):
 
     ``key`` is its identity for feature counting, ``(token, rendered
     category, canonical semantics)``: a weight change keeps the key.  It is
-    computed when the entry is built and takes no part in equality."""
+    rendered when the entry is built from its fields; an entry that
+    ``Lexicon`` reweights takes the key of the entry it reweights, unrendered.
+    It takes no part in equality."""
 
     _fields = ("token", "category", "semantics", "weight")
     __slots__ = _fields + ("key", "_stems")
 
     def __init__(self, token: str, category: Category, semantics: Term,
                  weight: float = 0.0):
+        self._store(token, category, semantics, weight,
+                    (token, render_category(category), canonical(semantics)))
+
+    def _store(self, token, category, semantics, weight, key) -> None:
         store(self, "token", token)
         store(self, "category", category)
         store(self, "semantics", semantics)
         store(self, "weight", weight)
-        key = (token, render_category(category), canonical(semantics))
         store(self, "key", key)
         if not math.isfinite(weight):
             raise NonFiniteWeightError(
                 f"non-finite weight {weight!r} for {token} := {key[1]} : {key[2]}")
+
+    def _reweighted(self, weight: float) -> LexEntry:
+        """This entry at ``weight``, keeping its ``key``."""
+        entry = object.__new__(LexEntry)
+        entry._store(self.token, self.category, self.semantics, weight, self.key)
+        return entry
 
     @property
     def stems(self) -> frozenset[str]:
@@ -190,8 +201,7 @@ class Lexicon:
         for entry in entries:
             first = merged.setdefault(entry.key, entry)
             if entry.weight > first.weight:
-                merged[entry.key] = LexEntry(first.token, first.category,
-                                             first.semantics, entry.weight)
+                merged[entry.key] = first._reweighted(entry.weight)
         self._by_key = merged
         self._folded: dict[str, list[LexEntry]] = {}
         for entry in merged.values():
@@ -220,10 +230,9 @@ class Lexicon:
         return Lexicon((*self, *new_entries))
 
     def with_weights(self, weights: dict[tuple[str, str, str], float]) -> "Lexicon":
-        """Reweight entries by key; an infinite or NaN weight is an error."""
-        return Lexicon(LexEntry(e.token, e.category, e.semantics,
-                                weights.get(e.key, e.weight))
-                       for e in self)
+        """Reweight entries by key; an infinite or NaN weight is an error.
+        Each entry keeps its ``key``: nothing is rendered again."""
+        return Lexicon(e._reweighted(weights.get(e.key, e.weight)) for e in self)
 
 
 def unary_project(category: Category, semantics: Term):

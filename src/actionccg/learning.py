@@ -140,9 +140,16 @@ def _prepare(corpus, lexicon: Lexicon):
             warnings.warn(f"skipping {' '.join(sample.tokens)}: {exc}",
                           SkippedSampleWarning, stacklevel=3)
             continue
-        target = canonical(sample.gold)
-        rows = [(dict(d.feature_counts()), canonical(d.semantics) == target)
-                for d in derivations]
+        gold, target = sample.gold, None
+        rows = []
+        for d in derivations:
+            # equal values are alpha-equivalent; render only to tell the rest
+            match = d.semantics == gold
+            if not match:
+                if target is None:
+                    target = canonical(gold)
+                match = canonical(d.semantics) == target
+            rows.append((dict(d.feature_counts()), match))
         if not any(gold for _, gold in rows):
             warnings.warn(
                 f"skipping {' '.join(sample.tokens)}: no derivation matches "

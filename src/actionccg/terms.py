@@ -333,8 +333,11 @@ def canonical(term: Term) -> str:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-    return canonical(a) == canonical(b)
+    """Structural equality up to consistent renaming of bound variables.
+
+    Equal values are alpha-equivalent, so ``a == b`` answers first; only
+    terms that differ as values are compared by canonical string."""
+    return a == b or canonical(a) == canonical(b)
 
 
 def inverse_lambda(result: Term, arg: Term) -> Lam:
@@ -346,20 +349,25 @@ def inverse_lambda(result: Term, arg: Term) -> Lam:
     constant function and a ConstantFunctionWarning is emitted.
     """
     v = fresh_name("v", all_names(result) | all_names(arg))
-    target = (type(arg), canonical(arg), free_vars(arg))
-    replaced, hits = _replace(result, target, v, frozenset())
+    kind = type(arg)
+    # a constant's canonical string is a function of its name alone
+    key = None if kind is Const else canonical(arg)
+    replaced, hits = _replace(result, (kind, arg, key, free_vars(arg)), v,
+                              frozenset())
     if hits == 0:
         warnings.warn(f"argument {arg} does not occur in {result}",
                       ConstantFunctionWarning, stacklevel=2)
     return Lam(v, replaced)
 
 
-def _replace(t: Term, target: tuple[type, str, frozenset[str]], v: str,
-             bound: frozenset[str]) -> tuple[Term, int]:
-    """``target`` is the argument's node type, canonical string and free
+def _replace(t: Term, target: tuple[type, Term, str | None, frozenset[str]],
+             v: str, bound: frozenset[str]) -> tuple[Term, int]:
+    """``target`` is the argument's node type, the argument, its canonical
+    string (None for a constant, which matches by ``==``) and its free
     variables."""
-    kind, key, free = target
-    if type(t) is kind and not (free & bound) and canonical(t) == key:
+    kind, arg, key, free = target
+    if (type(t) is kind and not (free & bound)
+            and (t == arg if key is None else canonical(t) == key)):
         return Var(v), 1
     if isinstance(t, Binder):
         body, hits = _replace(t.body, target, v, bound | {t.binds})

@@ -1,10 +1,12 @@
 """Categories, lexicon behavior, and the combination rules."""
 
+import math
 import warnings
+from collections import Counter
 
 import pytest
 
-from actionccg import parse_term
+from actionccg import grammar, parse_term
 from actionccg.chart import argmax_parse, parse_all
 from actionccg.corpus import load_lexicon
 from actionccg.errors import NonFiniteWeightError, SourceSyntaxError
@@ -261,6 +263,51 @@ class TestLexicon:
         entry = self.entry("Knife", "N", "knife")
         assert entry.key is entry.key
         assert entry.key == ("Knife", "N", "knife")
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """Counts of the renderings ``grammar`` asks for, by function."""
+        counts = Counter()
+        for name in ("canonical", "render_category"):
+            def counting(value, _name=name, _original=getattr(grammar, name)):
+                counts[_name] += 1
+                return _original(value)
+            monkeypatch.setattr(grammar, name, counting)
+        return counts
+
+    def test_reweighting_renders_nothing_and_keeps_each_key(self, renders):
+        entries = [self.entry("Cut", r"(AP\NP)/NP",
+                              r"\x.\y.cut(x,y) -> divided(y)"),
+                   self.entry("Knife", "N", "knife", 0.5),
+                   LexEntry("Ex", N, Const("x"), -1.0)]
+        assert renders["canonical"] == len(entries)  # built under the count
+        renders.clear()
+        lex = Lexicon(entries).with_weights({e.key: 3.0 for e in entries})
+        assert not renders
+        for old, new in zip(entries, lex):
+            fresh = LexEntry(old.token, old.category, old.semantics, 3.0)
+            assert new == fresh and new.key == fresh.key == old.key
+
+    def test_higher_weight_merge_renders_nothing(self, renders):
+        low = self.entry("Cut", r"(AP\NP)/NP", r"\x.\y.cut(x,y)", 0.5)
+        high = self.entry("Cut", r"(AP\NP)/NP", r"\u.\v.cut(u,v)", 1.5)
+        renders.clear()
+        (merged,) = Lexicon([low, high])
+        assert not renders
+        fresh = LexEntry(low.token, low.category, low.semantics, 1.5)
+        assert merged == fresh and merged.key == fresh.key
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_reweighting_to_non_finite_keeps_the_message(self, weight):
+        entry = LexEntry("A", AP, Const("a"))
+        with pytest.raises(NonFiniteWeightError) as err:
+            Lexicon([entry]).with_weights({entry.key: weight})
+        assert str(err.value) == f"non-finite weight {weight!r} for A := AP : 'a"
+
+    def test_reweighting_keeps_a_negative_zero(self):
+        entry = self.entry("Knife", "N", "knife", 1.0)
+        (reweighted,) = Lexicon([entry]).with_weights({entry.key: -0.0})
+        assert math.copysign(1.0, reweighted.weight) == -1.0
 
     def test_entries_are_immutable_snapshots(self):
         entry = self.entry("Knife", "N", "knife")

@@ -1,16 +1,17 @@
 """Unit tests for the term layer: substitution, reduction, equality."""
 
+import copy
 import typing
 
 import pytest
 
-from actionccg import parse_term
+from actionccg import parse_term, terms
 from actionccg.errors import ConstantFunctionWarning, NonTerminationError
-from actionccg.terms import (And, App, Binder, Const, Implies, Lam, Pred,
-                             Term, Var, alpha_eq, beta_reduce, canonical,
-                             free_vars, fresh_name, inverse_lambda,
-                             is_beta_normal, render, rename_constants,
-                             substitute)
+from actionccg.terms import (And, App, Binder, Const, Exists, Implies, Lam,
+                             Pred, Term, Var, alpha_eq, beta_reduce,
+                             canonical, free_vars, fresh_name,
+                             inverse_lambda, is_beta_normal, render,
+                             rename_constants, substitute)
 from oracles import db_alpha_eq, db_subst_free, to_debruijn
 
 
@@ -129,6 +130,52 @@ class TestAlphaEq:
         ]
         for left, right in pairs:
             assert alpha_eq(t(left), t(right)) == db_alpha_eq(t(left), t(right))
+
+
+def equality_pairs():
+    """``(a, b, a == b, alpha-equivalent)``: equal values as distinct
+    objects, renamed binders, and a variable against a constant."""
+    for source in [r"\x.\y.cut(x,y) -> divided(y)", "forall x.p(x) & q(y)",
+                   r"\f.forall x.f(x)", r"(\x.x) knife",
+                   "!on_top(cup,bowl) | (exists z.in(z,bowl))"]:
+        term = t(source)
+        yield term, t(render(term)), True, True
+        yield term, copy.deepcopy(term), True, True
+    for left, right in [(r"\x.cut(x,c)", r"\y.cut(y,c)"),
+                        ("forall x.p(x) & q(y)", "forall z.p(z) & q(y)")]:
+        yield t(left), t(right), False, True
+    yield Pred("p", (Var("x"),)), Pred("p", (Const("x"),)), False, False
+
+
+class TestEqualityShortcuts:
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        calls = []
+        original = terms.canonical
+
+        def counting(term):
+            calls.append(term)
+            return original(term)
+
+        monkeypatch.setattr(terms, "canonical", counting)
+        return calls
+
+    @pytest.mark.parametrize("a, b, same_value, alpha", list(equality_pairs()))
+    def test_agrees_with_the_oracle_and_renders_only_unequal_values(
+            self, a, b, same_value, alpha, renders):
+        assert a is not b and (a == b) is same_value
+        assert alpha_eq(a, b) is db_alpha_eq(a, b) is alpha
+        assert len(renders) == (0 if same_value else 2)
+
+    def test_constant_argument_matches_only_constant_leaves(self):
+        # ``p`` is the argument, a predicate name and a bound variable
+        result = Exists("p", And(Pred("p", (Var("p"), Const("p"))),
+                                 Pred("q", (Const("p"),))))
+        fun = inverse_lambda(result, Const("p"))
+        assert fun == Lam("v", Exists("p", And(Pred("p", (Var("p"), Var("v"))),
+                                               Pred("q", (Var("v"),)))))
+        back = beta_reduce(App(fun, Const("p")))
+        assert alpha_eq(back, result) and db_alpha_eq(back, result)
 
 
 class TestCanonical:
