@@ -85,17 +85,18 @@ def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
     tokens = list(tokens)
     if not tokens:
         raise NoParseError(tokens)
-    unknown = [t for t in dict.fromkeys(tokens) if not lexicon.has_token(t)]
+    found = [lexicon.lookup(token) for token in tokens]
+    unknown = [t for t, entries in zip(tokens, found) if not entries]
     if unknown:
-        raise UnknownTokenError(unknown)
+        raise UnknownTokenError(list(dict.fromkeys(unknown)))
 
     n = len(tokens)
     cells: dict[tuple[int, int], list[Derivation]] = {}
-    for i, token in enumerate(tokens):
+    for i, entries in enumerate(found):
         span = (i, i + 1)
         cells[span] = _close_unary([
             Derivation(entry.category, entry.semantics, span, entry=entry)
-            for entry in lexicon.lookup(token)])
+            for entry in entries])
     for width in range(2, n + 1):
         for start in range(0, n - width + 1):
             span = (start, start + width)

@@ -22,8 +22,8 @@ import math
 from .errors import NonFiniteWeightError, SourceSyntaxError
 from .syntax import MAX_DEPTH, Tokens, check_depth
 from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
-                    And, all_names, beta_reduce, canonical, free_vars,
-                    fresh_name, stem, substitute)
+                    And, all_names, apply_lambda, beta_reduce, canonical,
+                    free_vars, fresh_name, stem, substitute)
 from .value import Value, store
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
@@ -220,7 +220,7 @@ class Lexicon:
         return tuple(self._folded.get(token.lower(), ()))
 
     def has_token(self, token: str) -> bool:
-        return bool(self.lookup(token))
+        return token.lower() in self._folded
 
     def weight_of(self, key: tuple[str, str, str]) -> float:
         return self._by_key[key].weight
@@ -266,14 +266,17 @@ def apply_argument(fun: Term, arg: Term) -> Term:
     stay pending for later arguments.  A function already wrapped in a
     quantifier is applied underneath it, and a quantified argument is
     hoisted as described in the module docstring.  The result is in
-    beta-normal form.
+    beta-normal form: ``terms.apply_lambda`` substitutes the argument in
+    one walk and reduces further only where that walk met or made a redex.
     """
     if isinstance(fun, (Forall, Exists)):
         return _under_binder(fun, arg, apply_argument)
     if isinstance(arg, (Forall, Exists)):
         return _hoist_quantifier(fun, arg)
-    if isinstance(fun, Lam) and isinstance(fun.body, Lam):
-        return _under_binder(fun, arg, apply_argument)
+    if isinstance(fun, Lam):
+        if isinstance(fun.body, Lam):
+            return _under_binder(fun, arg, apply_argument)
+        return apply_lambda(fun, arg)
     return beta_reduce(App(fun, arg))
 
 

@@ -249,32 +249,65 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
 
     A ``Pred`` functor equal to ``var`` is rewritten too: with an atomic
     replacement the predication is renamed in place, otherwise it unfolds
-    into an application spine for later reduction.
+    into an application spine for later reduction.  An atomic replacement
+    is not walked for its free variables.
     """
-    fvr = free_vars(replacement)
-    return _subst(term, var, replacement, fvr)
+    return _subst(term, var, replacement, _free_of(replacement))[0]
 
 
-def _subst(t: Term, var: str, rep: Term, fvr: frozenset[str]) -> Term:
+def _free_of(term: Term) -> frozenset[str]:
+    """``free_vars(term)``, without a walk for an atom."""
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    if isinstance(term, Const):
+        return frozenset()
+    return free_vars(term)
+
+
+def _subst(t: Term, var: str, rep: Term,
+           fvr: frozenset[str]) -> tuple[Term, bool]:
+    """``t`` with ``rep`` for free ``var``, and whether the walk met or made
+    a redex: an application of a ``Lam``, ``Const`` or ``Pred``, a functor
+    unfolded into a spine, or a binder of ``var``, kept unwalked, that is
+    not normal.  Copies of ``rep`` are not looked into."""
     if isinstance(t, Var):
-        return rep if t.name == var else t
+        return (rep if t.name == var else t), False
     if isinstance(t, Binder):
         if t.binds == var:
-            return t
+            return t, not is_beta_normal(t)
         name, body = t.binds, t.body
-        if name in fvr and var in free_vars(body):
+        if name in fvr and _occurs_free(var, body):
             name = fresh_name(name, fvr | all_names(body) | {var})
-            body = _subst(body, t.binds, Var(name), frozenset({name}))
-        return t.rebind(name, _subst(body, var, rep, fvr))
-    kids = [_subst(kid, var, rep, fvr) for kid in t.kids()]
+            # a renaming makes no redex, and the walk below meets every
+            # redex it keeps
+            body = _subst(body, t.binds, Var(name), frozenset({name}))[0]
+        body, redex = _subst(body, var, rep, fvr)
+        return t.rebind(name, body), redex
+    redex = False
+    kids = []
+    for kid in t.kids():
+        kid, met = _subst(kid, var, rep, fvr)
+        kids.append(kid)
+        redex = redex or met
     if isinstance(t, Pred) and t.name == var:
         if isinstance(rep, (Var, Const)):
-            return Pred(rep.name, kids)
+            return Pred(rep.name, kids), redex
         spine = rep
         for arg in kids:
             spine = App(spine, arg)
-        return spine
-    return t.remake(kids)
+        return spine, True
+    if isinstance(t, App):
+        return App(*kids), redex or isinstance(kids[0], (Lam, Const, Pred))
+    return t.remake(kids), redex
+
+
+def _occurs_free(name: str, t: Term) -> bool:
+    """Whether ``name`` occurs free in ``t`` as a variable or a functor."""
+    if isinstance(t, (Var, Pred)) and t.name == name:
+        return True
+    if isinstance(t, Binder) and t.binds == name:
+        return False
+    return any(_occurs_free(name, kid) for kid in t.kids())
 
 
 def _step(t: Term) -> tuple[Term, bool]:
@@ -301,14 +334,36 @@ def beta_reduce(term: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     Aborts with NonTerminationError once ``budget`` steps have been spent,
     which bounds divergent self-applications.
     """
-    steps = 0
+    term, stepped = _step(term)
+    return _reduce(term, budget, 1) if stepped else term
+
+
+def apply_lambda(fun: Lam, arg: Term,
+                 budget: int = DEFAULT_STEP_BUDGET) -> Term:
+    """``beta_reduce(App(fun, arg))``, mostly in one walk.
+
+    The first step substitutes ``arg`` into the body as ``beta_reduce``
+    would.  When that walk met or made no redex and ``arg`` is an atom or
+    normal, its result is the normal form; otherwise reduction goes on from
+    it, one step of ``budget`` spent.  Either way the term, its binder
+    names and any NonTerminationError are those of ``beta_reduce``.
+    """
+    term, redex = _subst(fun.body, fun.param, arg, _free_of(arg))
+    normal_arg = isinstance(arg, (Var, Const)) or is_beta_normal(arg)
+    if redex or not normal_arg or budget < 1:
+        return _reduce(term, budget, 1)
+    return term
+
+
+def _reduce(term: Term, budget: int, steps: int) -> Term:
+    """Normal form of ``term``, ``steps`` of ``budget`` already spent."""
     while True:
+        if steps > budget:
+            raise NonTerminationError(f"no normal form within {budget} steps")
         term, stepped = _step(term)
         if not stepped:
             return term
         steps += 1
-        if steps > budget:
-            raise NonTerminationError(f"no normal form within {budget} steps")
 
 
 def is_beta_normal(term: Term) -> bool:

@@ -220,6 +220,7 @@ class TestLexicon:
         assert lex.lookup("chopping")[0].token == "Chopping"
         assert lex.lookup("CHOPPING")[0].token == "Chopping"
         assert lex.lookup("missing") == ()
+        assert lex.has_token("CHOPPING") and not lex.has_token("missing")
 
     def test_with_weights_reweights_by_key(self):
         entry = self.entry("Knife", "N", "knife")

@@ -53,6 +53,22 @@ class TestParseAll:
             parse_all(["Knife", "Blorp", "Cucumber", "Blorp"], basic_lexicon)
         assert err.value.tokens == ("Blorp",)
 
+    def test_unknown_tokens_listed_once_in_order_of_first_use(self, basic_lexicon):
+        with pytest.raises(UnknownTokenError) as err:
+            parse_all(["Zorp", "Blorp", "Knife", "blorp", "Zorp"], basic_lexicon)
+        assert err.value.tokens == ("Zorp", "Blorp", "blorp")
+
+    def test_each_token_looked_up_once(self, basic_lexicon):
+        class Counting(Lexicon):
+            def lookup(self, token):
+                looked.append(token)
+                return super().lookup(token)
+
+        looked = []
+        tokens = ["Knife", "Cut", "Cucumber"]
+        assert len(parse_all(tokens, Counting(basic_lexicon))) == 1
+        assert looked == tokens
+
     def test_empty_sentence_raises(self, basic_lexicon):
         with pytest.raises(NoParseError):
             parse_all([], basic_lexicon)

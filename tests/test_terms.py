@@ -1,18 +1,21 @@
 """Unit tests for the term layer: substitution, reduction, equality."""
 
 import copy
+import random
 import typing
 
 import pytest
 
-from actionccg import parse_term, terms
+from actionccg import grammar, parse_term, terms
 from actionccg.errors import ConstantFunctionWarning, NonTerminationError
-from actionccg.terms import (And, App, Binder, Const, Exists, Implies, Lam,
-                             Pred, Term, Var, alpha_eq, beta_reduce,
-                             canonical, free_vars, fresh_name,
-                             inverse_lambda, is_beta_normal, render,
-                             rename_constants, substitute)
-from oracles import db_alpha_eq, db_subst_free, to_debruijn
+from actionccg.terms import (And, App, Binder, Const, Exists, Forall,
+                             Implies, Lam, Not, Or, Pred, Term, Var,
+                             alpha_eq, apply_lambda, beta_reduce, canonical,
+                             free_vars, fresh_name, inverse_lambda,
+                             is_beta_normal, render, rename_constants,
+                             substitute)
+from oracles import (OracleBudgetError, db_alpha_eq, db_normal_form,
+                     db_subst_free, to_debruijn)
 
 
 def t(text):
@@ -73,6 +76,14 @@ class TestSubstitute:
         out = substitute(Pred("f", (Var("x"),)), "f", Const("tomato"))
         assert out == Pred("tomato", (Var("x"),))
 
+    def test_functor_under_a_capturing_binder_forces_rename(self):
+        term = Forall("x", Pred("f", (Var("x"),)))
+        rep = t(r"\z.on_top(z,x)")
+        out = substitute(term, "f", rep)
+        assert out.var != "x"
+        assert to_debruijn(out) == db_subst_free(to_debruijn(term), "f",
+                                                 to_debruijn(rep))
+
     def test_pred_head_rewrite_unfolds_lambda(self):
         out = substitute(Pred("f", (Const("knife"),)), "f", t(r"\z.moved(z)"))
         assert beta_reduce(out) == t("moved(knife)")
@@ -103,6 +114,148 @@ class TestBetaReduce:
         # 3 redexes, budget 3 suffices
         out = beta_reduce(t(r"(\x.x) ((\y.y) ((\z.z) knife))"), budget=3)
         assert out == Const("knife")
+
+
+def random_term(rng, env, depth):
+    """A seeded random term over the bound names ``env`` and the free
+    variables ``y`` and ``z``; applications may be redexes, and a bound
+    name may meet a free one of the same name."""
+    kinds = ["var", "const", "pred"]
+    if depth > 0:
+        kinds += ["lam", "forall", "exists", "and", "or", "implies", "not",
+                  "app", "app"]
+    kind = rng.choice(kinds)
+    sub = depth - 1
+    if kind == "var":
+        return Var(rng.choice(env + ("y", "z")))
+    if kind == "const":
+        return Const(rng.choice(("knife", "bowl")))
+    if kind == "pred":
+        return Pred(rng.choice(("cut_rel", "moved_rel")),
+                    tuple(random_term(rng, env, max(sub, 0))
+                          for _ in range(rng.randint(1, 2))))
+    if kind in ("lam", "forall", "exists"):
+        name = rng.choice(("x", "y", "z"))
+        ctor = {"lam": Lam, "forall": Forall, "exists": Exists}[kind]
+        return ctor(name, random_term(rng, env + (name,), sub))
+    if kind == "not":
+        return Not(random_term(rng, env, sub))
+    if kind == "app":
+        head = rng.choice(("leaf", "const", "lam"))
+        if head == "lam":
+            name = rng.choice(("x", "y", "z"))
+            head = Lam(name, random_term(rng, env + (name,), sub))
+        else:
+            head = random_term(rng, env, 0) if head == "leaf" else Const("cut_rel")
+        return App(head, random_term(rng, env, sub))
+    ctor = {"and": And, "or": Or, "implies": Implies}[kind]
+    return ctor(random_term(rng, env, sub), random_term(rng, env, sub))
+
+
+def outcome(reduce, *args):
+    """The normal form, or the NonTerminationError's type and text."""
+    try:
+        return reduce(*args)
+    except NonTerminationError as err:
+        return type(err), str(err)
+
+
+def oracle_apply(fun, arg):
+    """Normal form of ``fun`` applied to ``arg``, in de Bruijn form: the
+    oracle's own substitution into the body, then its own reducer."""
+    body = db_subst_free(to_debruijn(fun.body), fun.param, to_debruijn(arg))
+    return db_normal_form(body, budget=800)
+
+
+class TestApplyLambda:
+    def agrees(self, fun, arg, budget=terms.DEFAULT_STEP_BUDGET):
+        got = outcome(apply_lambda, fun, arg, budget)
+        assert got == outcome(beta_reduce, App(fun, arg), budget)
+        return got
+
+    def test_random_terms_agree_with_beta_reduce_and_the_oracle(self):
+        rng = random.Random(24)
+        seen = {"non-normal function": 0, "non-normal argument": 0,
+                "diverged": 0, "checked against the oracle": 0}
+        for _ in range(3000):
+            name = rng.choice(("x", "y", "z"))
+            fun = Lam(name, random_term(rng, (name,), 3))
+            arg = random_term(rng, (), 2)
+            seen["non-normal function"] += not is_beta_normal(fun)
+            seen["non-normal argument"] += not is_beta_normal(arg)
+            got = self.agrees(fun, arg, rng.choice((0, 1, 2, 3, 400)))
+            if isinstance(got, tuple):
+                seen["diverged"] += 1
+                continue
+            try:
+                oracle = oracle_apply(fun, arg)
+            except OracleBudgetError:
+                continue
+            assert to_debruijn(got) == oracle
+            seen["checked against the oracle"] += 1
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("fun, arg", [
+        (r"\x.\y.cut(x,y)", "y"),
+        (r"\x.forall y.cut(x,y)", "moved(y)"),
+        (r"\x.\y.(\z.cut(z,y)) x", "y"),
+        (r"\x.exists y.x & cut(y,y1)", r"(\z.moved(z)) y"),
+    ])
+    def test_binder_capture_renames_as_beta_reduce_does(self, fun, arg):
+        fun, arg = t(fun), t(arg)
+        got = self.agrees(fun, arg)
+        assert to_debruijn(got) == oracle_apply(fun, arg)
+        assert "y" in free_vars(got)
+
+    @pytest.mark.parametrize("fun", [
+        t(r"\f.forall x.f(x)"),
+        # built, not parsed: the parser reads a bound functor as a spine
+        Lam("f", Forall("x", Pred("f", (Var("x"),)))),
+    ])
+    @pytest.mark.parametrize("arg, want", [
+        (r"\z.tomato(z)", "forall x.tomato(x)"),
+        ("tomato", "forall x.tomato(x)"),
+        (r"\z.on_top(z,x)", "forall x1.on_top(x1,x)"),
+        (r"\z.\w.on_top(z,w)", r"forall x.\w.on_top(x,w)"),
+    ])
+    def test_functor_substitution(self, fun, arg, want):
+        arg = t(arg)
+        got = self.agrees(fun, arg)
+        assert got == t(want)
+        assert to_debruijn(got) == oracle_apply(fun, arg)
+
+    @pytest.mark.parametrize("budget", [0, 1, 50, terms.DEFAULT_STEP_BUDGET])
+    def test_self_application_raises_as_beta_reduce_does(self, budget):
+        omega = t(r"\x.x(x)")
+        with pytest.raises(NonTerminationError,
+                           match=f"^no normal form within {budget} steps$"):
+            apply_lambda(omega, omega, budget)
+        self.agrees(omega, omega, budget)
+
+    def test_step_boundary_is_that_of_beta_reduce(self):
+        # the application and two redexes in the argument: three steps
+        fun, arg = t(r"\x.moved(x)"), t(r"(\y.y) ((\z.z) knife)")
+        for budget in range(5):
+            self.agrees(fun, arg, budget)
+        assert apply_lambda(fun, arg, 3) == t("moved(knife)")
+        with pytest.raises(NonTerminationError):
+            apply_lambda(fun, arg, 2)
+
+    def test_first_order_action_entry_takes_no_reduction_step(
+            self, basic_lexicon, monkeypatch):
+        steps = []
+        original = terms._step
+
+        def counting(term):
+            steps.append(term)
+            return original(term)
+
+        monkeypatch.setattr(terms, "_step", counting)
+        (cut,) = basic_lexicon.lookup("Cut")
+        once = grammar.apply_argument(cut.semantics, Const("cucumber"))
+        twice = grammar.apply_argument(once, Const("knife"))
+        assert twice == t("cut(knife,cucumber) -> divided(cucumber)")
+        assert steps == []
 
 
 class TestAlphaEq:
