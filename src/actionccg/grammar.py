@@ -22,8 +22,8 @@ import math
 from .errors import NonFiniteWeightError, SourceSyntaxError
 from .syntax import MAX_DEPTH, Tokens, check_depth
 from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
-                    And, all_names, apply_lambda, beta_reduce, canonical,
-                    free_vars, fresh_name, stem, substitute)
+                    And, all_names, beta_reduce, canonical, free_names,
+                    fresh_name, stem, substitute)
 from .value import Value, store
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
@@ -266,25 +266,23 @@ def apply_argument(fun: Term, arg: Term) -> Term:
     stay pending for later arguments.  A function already wrapped in a
     quantifier is applied underneath it, and a quantified argument is
     hoisted as described in the module docstring.  The result is in
-    beta-normal form: ``terms.apply_lambda`` substitutes the argument in
-    one walk and reduces further only where that walk met or made a redex.
+    beta-normal form: ``beta_reduce`` substitutes the argument in one
+    walk and reduces further only where that walk met or made a redex.
     """
     if isinstance(fun, (Forall, Exists)):
         return _under_binder(fun, arg, apply_argument)
     if isinstance(arg, (Forall, Exists)):
         return _hoist_quantifier(fun, arg)
-    if isinstance(fun, Lam):
-        if isinstance(fun.body, Lam):
-            return _under_binder(fun, arg, apply_argument)
-        return apply_lambda(fun, arg)
+    if isinstance(fun, Lam) and isinstance(fun.body, Lam):
+        return _under_binder(fun, arg, apply_argument)
     return beta_reduce(App(fun, arg))
 
 
 def _under_binder(binder: Binder, outside: Term, inner) -> Term:
     """``binder`` over ``inner(body, outside)``, its variable first renamed
-    away from the free variables of ``outside``."""
+    away from the free variables and functors of ``outside``."""
     name, body = binder.binds, binder.body
-    taken = free_vars(outside)
+    taken = free_names(outside)
     if name in taken:
         renamed = fresh_name(name, taken | all_names(body))
         body = substitute(body, name, Var(renamed))
@@ -293,7 +291,7 @@ def _under_binder(binder: Binder, outside: Term, inner) -> Term:
 
 
 def _hoist_quantifier(fun: Term, arg: Term) -> Term:
-    var = fresh_name(arg.var, free_vars(arg.body) | all_names(fun))
+    var = fresh_name(arg.var, free_names(arg.body) | all_names(fun))
     restrictor = (arg.body if var == arg.var
                   else substitute(arg.body, arg.var, Var(var)))
     core = apply_argument(fun, Var(var))

@@ -185,19 +185,27 @@ def free_vars(term: Term) -> frozenset[str]:
     variables, so they are not reported.
     """
     out: set[str] = set()
-    _free(term, frozenset(), out)
+    _free(term, frozenset(), out, Var)
     return frozenset(out)
 
 
-def _free(t: Term, bound: frozenset[str], out: set[str]) -> None:
-    if isinstance(t, Var):
-        if t.name not in bound:
-            out.add(t.name)
-    elif isinstance(t, Binder):
-        _free(t.body, bound | {t.binds}, out)
-    else:
-        for kid in t.kids():
-            _free(kid, bound, out)
+def free_names(term: Term) -> frozenset[str]:
+    """``free_vars(term)`` and the functors ``term`` leaves unbound: every
+    name that a binder put around ``term`` would capture, since a binder
+    of a functor's name binds it (substitution rewrites it)."""
+    out: set[str] = set()
+    _free(term, frozenset(), out, (Var, Pred))
+    return frozenset(out)
+
+
+def _free(t: Term, bound: frozenset[str], out: set[str], named) -> None:
+    if isinstance(t, Binder):
+        _free(t.body, bound | {t.binds}, out, named)
+        return
+    if isinstance(t, named) and t.name not in bound:
+        out.add(t.name)
+    for kid in t.kids():
+        _free(kid, bound, out, named)
 
 
 def all_names(term: Term) -> frozenset[str]:
@@ -249,19 +257,9 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
 
     A ``Pred`` functor equal to ``var`` is rewritten too: with an atomic
     replacement the predication is renamed in place, otherwise it unfolds
-    into an application spine for later reduction.  An atomic replacement
-    is not walked for its free variables.
+    into an application spine for later reduction.
     """
-    return _subst(term, var, replacement, _free_of(replacement))[0]
-
-
-def _free_of(term: Term) -> frozenset[str]:
-    """``free_vars(term)``, without a walk for an atom."""
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Const):
-        return frozenset()
-    return free_vars(term)
+    return _subst(term, var, replacement, free_names(replacement))[0]
 
 
 def _subst(t: Term, var: str, rep: Term,
@@ -276,7 +274,7 @@ def _subst(t: Term, var: str, rep: Term,
         if t.binds == var:
             return t, not is_beta_normal(t)
         name, body = t.binds, t.body
-        if name in fvr and _occurs_free(var, body):
+        if name in fvr and var in free_names(body):
             name = fresh_name(name, fvr | all_names(body) | {var})
             # a renaming makes no redex, and the walk below meets every
             # redex it keeps
@@ -301,15 +299,6 @@ def _subst(t: Term, var: str, rep: Term,
     return t.remake(kids), redex
 
 
-def _occurs_free(name: str, t: Term) -> bool:
-    """Whether ``name`` occurs free in ``t`` as a variable or a functor."""
-    if isinstance(t, (Var, Pred)) and t.name == name:
-        return True
-    if isinstance(t, Binder) and t.binds == name:
-        return False
-    return any(_occurs_free(name, kid) for kid in t.kids())
-
-
 def _step(t: Term) -> tuple[Term, bool]:
     """One leftmost-outermost reduction step; returns (term, stepped)."""
     if isinstance(t, App):
@@ -332,31 +321,22 @@ def beta_reduce(term: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     """Normalize ``term`` by leftmost-outermost reduction.
 
     Aborts with NonTerminationError once ``budget`` steps have been spent,
-    which bounds divergent self-applications.
+    which bounds divergent self-applications.  A lambda applied at the
+    root is substituted in one walk, whose result is the normal form when
+    the walk met or made no redex and the argument is normal; otherwise
+    reduction goes on from it, one step spent, as it would have anyway.
     """
-    term, stepped = _step(term)
-    return _reduce(term, budget, 1) if stepped else term
-
-
-def apply_lambda(fun: Lam, arg: Term,
-                 budget: int = DEFAULT_STEP_BUDGET) -> Term:
-    """``beta_reduce(App(fun, arg))``, mostly in one walk.
-
-    The first step substitutes ``arg`` into the body as ``beta_reduce``
-    would.  When that walk met or made no redex and ``arg`` is an atom or
-    normal, its result is the normal form; otherwise reduction goes on from
-    it, one step of ``budget`` spent.  Either way the term, its binder
-    names and any NonTerminationError are those of ``beta_reduce``.
-    """
-    term, redex = _subst(fun.body, fun.param, arg, _free_of(arg))
-    normal_arg = isinstance(arg, (Var, Const)) or is_beta_normal(arg)
-    if redex or not normal_arg or budget < 1:
-        return _reduce(term, budget, 1)
-    return term
-
-
-def _reduce(term: Term, budget: int, steps: int) -> Term:
-    """Normal form of ``term``, ``steps`` of ``budget`` already spent."""
+    if isinstance(term, App) and isinstance(term.fun, Lam):
+        fun, arg = term.fun, term.arg
+        term, redex = _subst(fun.body, fun.param, arg, free_names(arg))
+        if not redex and budget >= 1 and (
+                isinstance(arg, (Var, Const)) or is_beta_normal(arg)):
+            return term
+    else:
+        term, stepped = _step(term)
+        if not stepped:
+            return term
+    steps = 1
     while True:
         if steps > budget:
             raise NonTerminationError(f"no normal form within {budget} steps")

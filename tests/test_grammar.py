@@ -15,7 +15,10 @@ from actionccg.grammar import (AP, GOAL_CATEGORY, N, NP, Atom, Backward,
                                combine, parse_category, render_category,
                                unary_project)
 from actionccg.syntax import MAX_DEPTH
-from actionccg.terms import Const, Lam, alpha_eq, is_beta_normal
+from actionccg.terms import (And, App, Const, Exists, Lam, Pred, Var,
+                             alpha_eq, beta_reduce, is_beta_normal,
+                             predications)
+from oracles import db_normal_form, to_debruijn
 
 
 class TestCategories:
@@ -177,6 +180,26 @@ class TestApplyArgument:
     def test_single_binder_plain_application(self):
         out = apply_argument(parse_term(r"\x.moved(x)"), parse_term("box"))
         assert out == parse_term("moved(box)")
+
+    # built, not parsed: the parser reads a functor that a lambda binds
+    # as an application spine, and never makes a bound ``Pred`` functor
+    def test_pending_binder_does_not_capture_an_argument_functor(self):
+        fun = Lam("f", Lam("y", Pred("p", (Var("f"), Var("y")))))
+        arg = Pred("f", (Const("a"),))
+        out = apply_argument(apply_argument(fun, arg), Const("b"))
+        assert out == Pred("p", (Const("b"), arg))
+        # apply_argument feeds the inner binder first
+        swapped = App(App(Lam("y", Lam("f", fun.body.body)), arg), Const("b"))
+        assert to_debruijn(out) == db_normal_form(to_debruijn(swapped))
+
+    def test_hoisted_quantifier_does_not_capture_a_restrictor_functor(self):
+        arg = Exists("x", And(Pred("soup", (Var("x"),)),
+                              Pred("x1", (Const("a"),))))
+        out = apply_argument(parse_term(r"\y.stirring(y)"), arg)
+        assert out.var not in ("x", "x1")
+        # the functor stays free: an outer binder of it still reaches it
+        bound = beta_reduce(App(Lam("x1", out), Const("pot")))
+        assert ("pot", 1) in set(predications(bound))
 
 
 class TestLexicon:

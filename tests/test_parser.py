@@ -48,15 +48,15 @@ class TestParseAll:
         with pytest.raises(NoParseError):
             parse_all(["Knife", "Cucumber"], basic_lexicon)
 
-    def test_unknown_tokens_reported_before_parsing(self, basic_lexicon):
+    @pytest.mark.parametrize("tokens, unknown", [
+        (["Knife", "Blorp", "Cucumber", "Blorp"], ("Blorp",)),
+        (["Zorp", "Blorp", "Knife", "blorp", "Zorp"], ("Zorp", "Blorp", "blorp")),
+    ])
+    def test_unknown_tokens_reported_before_parsing(self, basic_lexicon,
+                                                    tokens, unknown):
         with pytest.raises(UnknownTokenError) as err:
-            parse_all(["Knife", "Blorp", "Cucumber", "Blorp"], basic_lexicon)
-        assert err.value.tokens == ("Blorp",)
-
-    def test_unknown_tokens_listed_once_in_order_of_first_use(self, basic_lexicon):
-        with pytest.raises(UnknownTokenError) as err:
-            parse_all(["Zorp", "Blorp", "Knife", "blorp", "Zorp"], basic_lexicon)
-        assert err.value.tokens == ("Zorp", "Blorp", "blorp")
+            parse_all(tokens, basic_lexicon)
+        assert err.value.tokens == unknown
 
     def test_each_token_looked_up_once(self, basic_lexicon):
         class Counting(Lexicon):

@@ -10,7 +10,7 @@ from actionccg import grammar, parse_term, terms
 from actionccg.errors import ConstantFunctionWarning, NonTerminationError
 from actionccg.terms import (And, App, Binder, Const, Exists, Forall,
                              Implies, Lam, Not, Or, Pred, Term, Var,
-                             alpha_eq, apply_lambda, beta_reduce, canonical,
+                             alpha_eq, beta_reduce, canonical,
                              free_vars, fresh_name, inverse_lambda,
                              is_beta_normal, render, rename_constants,
                              substitute)
@@ -160,6 +160,19 @@ def outcome(reduce, *args):
         return type(err), str(err)
 
 
+def stepwise(term, budget):
+    """``beta_reduce`` without its one-walk root application: one ``_step``
+    at a time, ``budget`` steps at most."""
+    steps = 0
+    while True:
+        term, stepped = terms._step(term)
+        if not stepped:
+            return term
+        steps += 1
+        if steps > budget:
+            raise NonTerminationError(f"no normal form within {budget} steps")
+
+
 def oracle_apply(fun, arg):
     """Normal form of ``fun`` applied to ``arg``, in de Bruijn form: the
     oracle's own substitution into the body, then its own reducer."""
@@ -167,10 +180,13 @@ def oracle_apply(fun, arg):
     return db_normal_form(body, budget=800)
 
 
-class TestApplyLambda:
+class TestRootApplication:
+    """``beta_reduce`` of a lambda applied at the root, which substitutes in
+    one walk, against the step-by-step reducer and the de Bruijn oracle."""
+
     def agrees(self, fun, arg, budget=terms.DEFAULT_STEP_BUDGET):
-        got = outcome(apply_lambda, fun, arg, budget)
-        assert got == outcome(beta_reduce, App(fun, arg), budget)
+        got = outcome(beta_reduce, App(fun, arg), budget)
+        assert got == outcome(stepwise, App(fun, arg), budget)
         return got
 
     def test_random_terms_agree_with_beta_reduce_and_the_oracle(self):
@@ -201,7 +217,7 @@ class TestApplyLambda:
         (r"\x.\y.(\z.cut(z,y)) x", "y"),
         (r"\x.exists y.x & cut(y,y1)", r"(\z.moved(z)) y"),
     ])
-    def test_binder_capture_renames_as_beta_reduce_does(self, fun, arg):
+    def test_binder_capture_renames_as_stepwise_does(self, fun, arg):
         fun, arg = t(fun), t(arg)
         got = self.agrees(fun, arg)
         assert to_debruijn(got) == oracle_apply(fun, arg)
@@ -224,22 +240,32 @@ class TestApplyLambda:
         assert got == t(want)
         assert to_debruijn(got) == oracle_apply(fun, arg)
 
+    def test_binder_does_not_capture_an_argument_functor(self):
+        # built, not parsed: a binder named like the argument's functor
+        fun, arg = Lam("x", Lam("y", Var("x"))), Pred("y", (Const("a"),))
+        got = self.agrees(fun, arg)
+        assert got.param != "y"
+        applied = beta_reduce(App(got, Const("c")))
+        assert applied == arg
+        assert to_debruijn(applied) == db_normal_form(
+            ("app", oracle_apply(fun, arg), ("const", "c")))
+
     @pytest.mark.parametrize("budget", [0, 1, 50, terms.DEFAULT_STEP_BUDGET])
-    def test_self_application_raises_as_beta_reduce_does(self, budget):
+    def test_self_application_raises_as_stepwise_does(self, budget):
         omega = t(r"\x.x(x)")
         with pytest.raises(NonTerminationError,
                            match=f"^no normal form within {budget} steps$"):
-            apply_lambda(omega, omega, budget)
+            beta_reduce(App(omega, omega), budget)
         self.agrees(omega, omega, budget)
 
-    def test_step_boundary_is_that_of_beta_reduce(self):
+    def test_step_boundary_is_that_of_stepwise(self):
         # the application and two redexes in the argument: three steps
         fun, arg = t(r"\x.moved(x)"), t(r"(\y.y) ((\z.z) knife)")
         for budget in range(5):
             self.agrees(fun, arg, budget)
-        assert apply_lambda(fun, arg, 3) == t("moved(knife)")
+        assert beta_reduce(App(fun, arg), 3) == t("moved(knife)")
         with pytest.raises(NonTerminationError):
-            apply_lambda(fun, arg, 2)
+            beta_reduce(App(fun, arg), 2)
 
     def test_first_order_action_entry_takes_no_reduction_step(
             self, basic_lexicon, monkeypatch):
