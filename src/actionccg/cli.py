@@ -176,8 +176,7 @@ def _cmd_eval(args) -> int:
     rules = corpus_io.load_axioms(args.axioms)
     sequence_paths = sorted(Path(args.sequences).glob("*.seq"))
     if not sequence_paths:
-        print(f"error: no .seq files in {args.sequences}", file=sys.stderr)
-        return 1
+        raise ActionCCGError(f"no .seq files in {args.sequences}")
     rows = []
     for path in sequence_paths:
         sequence = corpus_io.load_sequence(path)
@@ -191,8 +190,7 @@ def _cmd_eval(args) -> int:
     total = ("total", sum(r[1] for r in rows), sum(r[2] for r in rows),
              sum(r[3] for r in rows))
     if not total[1]:
-        print(f"error: no gold literals under {args.gold}", file=sys.stderr)
-        return 1
+        raise ActionCCGError(f"no gold literals under {args.gold}")
     if args.format == "tsv":
         for row in rows + [total]:
             print("\t".join(str(v) for v in row))

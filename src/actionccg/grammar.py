@@ -21,9 +21,9 @@ import math
 
 from .errors import NonFiniteWeightError, SourceSyntaxError
 from .syntax import MAX_DEPTH, Tokens, check_depth
-from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var,
-                    And, all_names, beta_reduce, canonical, free_names,
-                    fresh_name, stem, substitute)
+from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term,
+                    Var, And, all_names, beta_reduce, canonical, free_functors,
+                    free_names, fresh_name, stem, substitute)
 from .value import Value, store
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
@@ -280,14 +280,27 @@ def apply_argument(fun: Term, arg: Term) -> Term:
 
 def _under_binder(binder: Binder, outside: Term, inner) -> Term:
     """``binder`` over ``inner(body, outside)``, its variable first renamed
-    away from the free variables and functors of ``outside``."""
+    away from the free variables and functors of ``outside``, and from a
+    constant argument that ``apply_argument`` puts in functor position."""
     name, body = binder.binds, binder.body
     taken = free_names(outside)
+    if (isinstance(outside, Const) and name == outside.name
+            and inner is apply_argument and _feeds_functor(body)):
+        taken |= {name}
     if name in taken:
         renamed = fresh_name(name, taken | all_names(body))
         body = substitute(body, name, Var(renamed))
         name = renamed
     return binder.rebind(name, inner(body, outside))
+
+
+def _feeds_functor(fun: Term) -> bool:
+    """Whether the lambda that ``apply_argument`` feeds ``fun``'s next
+    argument to has its variable as a functor."""
+    while isinstance(fun, (Forall, Exists)) or (
+            isinstance(fun, Lam) and isinstance(fun.body, Lam)):
+        fun = fun.body
+    return isinstance(fun, Lam) and fun.param in free_functors(fun.body)
 
 
 def _hoist_quantifier(fun: Term, arg: Term) -> Term:

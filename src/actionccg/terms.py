@@ -198,6 +198,13 @@ def free_names(term: Term) -> frozenset[str]:
     return frozenset(out)
 
 
+def free_functors(term: Term) -> frozenset[str]:
+    """The functors ``term`` leaves unbound."""
+    out: set[str] = set()
+    _free(term, frozenset(), out, Pred)
+    return frozenset(out)
+
+
 def _free(t: Term, bound: frozenset[str], out: set[str], named) -> None:
     if isinstance(t, Binder):
         _free(t.body, bound | {t.binds}, out, named)
@@ -274,8 +281,11 @@ def _subst(t: Term, var: str, rep: Term,
         if t.binds == var:
             return t, not is_beta_normal(t)
         name, body = t.binds, t.body
-        if name in fvr and var in free_names(body):
-            name = fresh_name(name, fvr | all_names(body) | {var})
+        # a constant put in functor position names the predication, which
+        # a binder of that name would capture
+        if (name in fvr and var in free_names(body) or isinstance(rep, Const)
+                and name == rep.name and var in free_functors(body)):
+            name = fresh_name(name, fvr | all_names(body) | {var, name})
             # a renaming makes no redex, and the walk below meets every
             # redex it keeps
             body = _subst(body, t.binds, Var(name), frozenset({name}))[0]

@@ -1,66 +1,43 @@
 """Independent reference implementations the tests check the package against.
 
 Nothing here reuses the package's substitution, reduction, chart packing,
-or semi-naive join machinery.  Terms are converted to a de Bruijn tuple
-encoding and manipulated with textbook index shifting; parsing is redone
-by recursive enumeration of every bracketing; chaining is a naive
-re-scan, or an unindexed semi-naive loop where discovery order matters;
-gradients come from central finite differences.
+or semi-naive join machinery.  The de Bruijn encoder (``de_bruijn``) and
+the naive re-scan fixpoint (``_close``) are the benchmark's own, imported
+from ``perfbench/reference.py``, so each has one copy; this module adds
+adapters to them, a reducer over that encoding with textbook index
+shifting, parsing redone by recursive enumeration of every bracketing, an
+unindexed semi-naive loop where discovery order matters, and gradients
+from central finite differences.
 """
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 from actionccg.grammar import GOAL_CATEGORY, combine, render_category, unary_project
 from actionccg.learning import TrainConfig, log_likelihood, train
-from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
-                             Not, Or, Pred, Var, canonical)
+from actionccg.terms import canonical
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import reference  # noqa: E402
+from reference import de_bruijn  # noqa: E402
 
 
 class OracleBudgetError(Exception):
     pass
 
 
-# --- de Bruijn encoding ------------------------------------------------
-# Bound variables become ("var", index); free ones keep their name as
-# ("free", name), so substituting for a free name can never capture.
-
-def to_debruijn(term):
-    def go(t, env):
-        if isinstance(t, Var):
-            for back, name in enumerate(reversed(env)):
-                if name == t.name:
-                    return ("var", back)
-            return ("free", t.name)
-        if isinstance(t, Const):
-            return ("const", t.name)
-        if isinstance(t, Pred):
-            return ("pred", t.name, tuple(go(a, env) for a in t.args))
-        if isinstance(t, Lam):
-            return ("lam", go(t.body, env + [t.param]))
-        if isinstance(t, App):
-            return ("app", go(t.fun, env), go(t.arg, env))
-        if isinstance(t, And):
-            return ("and", go(t.left, env), go(t.right, env))
-        if isinstance(t, Or):
-            return ("or", go(t.left, env), go(t.right, env))
-        if isinstance(t, Implies):
-            return ("implies", go(t.left, env), go(t.right, env))
-        if isinstance(t, Not):
-            return ("not", go(t.body, env))
-        if isinstance(t, Forall):
-            return ("forall", go(t.body, env + [t.var]))
-        if isinstance(t, Exists):
-            return ("exists", go(t.body, env + [t.var]))
-        raise TypeError(t)
-    return go(term, [])
-
+# --- de Bruijn reduction -----------------------------------------------
+# ``de_bruijn`` makes bound variables ("var", index); free ones keep their
+# name as ("free", name), so substituting for a free name can never capture.
 
 def db_alpha_eq(a, b):
-    return to_debruijn(a) == to_debruijn(b)
+    return de_bruijn(a) == de_bruijn(b)
 
 
-_BINDERS = ("lam", "forall", "exists")
-_PAIRS = ("app", "and", "or", "implies")
+_BINDERS = ("lam", "Forall", "Exists")
+_PAIRS = ("app", "And", "Or", "Implies")
 
 
 def _shift(t, d, cutoff=0):
@@ -145,7 +122,7 @@ def _db_step_innermost(t):
     if kind == "not":
         body, stepped = _db_step_innermost(t[1])
         return ("not", body), stepped
-    if kind in ("and", "or", "implies"):
+    if kind in ("And", "Or", "Implies"):
         left, stepped = _db_step_innermost(t[1])
         if stepped:
             return (kind, left, t[2]), True
@@ -173,23 +150,6 @@ def db_normal_form(t, budget=500):
         if not stepped:
             return t
     raise OracleBudgetError("no normal form within the oracle budget")
-
-
-def count_free_occurrences(term, name):
-    t = to_debruijn(term)
-
-    def go(t):
-        kind = t[0]
-        if kind == "free":
-            return 1 if t[1] == name else 0
-        if kind in ("var", "const"):
-            return 0
-        if kind == "pred":
-            return sum(go(a) for a in t[2])
-        if kind in _BINDERS or kind == "not":
-            return go(t[1])
-        return go(t[1]) + go(t[2])
-    return go(t)
 
 
 # --- brute-force parsing -----------------------------------------------
@@ -254,48 +214,18 @@ def supporting(derivations, form):
 
 # --- naive forward chaining --------------------------------------------
 
+def rule_patterns(rules):
+    """``AxiomRule``s as the reference's ``(body, head)`` pairs, each
+    pattern a ``(predicate, args)`` pair."""
+    return [([(l.predicate, l.args) for l in rule.body],
+             (rule.head.predicate, rule.head.args)) for rule in rules]
+
+
 def naive_chain_atoms(kb, rules):
-    """Positive atoms of the fixpoint, by full re-scan each round."""
-    facts = [l for l in kb.literals if l.positive]
-    atoms = {(l.predicate, l.args) for l in facts}
-    blocked = {(l.predicate, l.args) for l in kb.literals if not l.positive}
-
-    def bindings(body, binding):
-        if not body:
-            yield binding
-            return
-        pattern = body[0]
-        for fact in list(facts):
-            if fact.predicate != pattern.predicate:
-                continue
-            if len(fact.args) != len(pattern.args):
-                continue
-            extended = dict(binding)
-            ok = True
-            for p, f in zip(pattern.args, fact.args):
-                if p[:1].isupper():
-                    if extended.setdefault(p, f) != f:
-                        ok = False
-                        break
-                elif p != f:
-                    ok = False
-                    break
-            if ok:
-                yield from bindings(body[1:], extended)
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for binding in list(bindings(list(rule.body), {})):
-                head = (rule.head.predicate,
-                        tuple(binding.get(a, a) for a in rule.head.args))
-                if head in atoms or head in blocked:
-                    continue
-                atoms.add(head)
-                facts.append(type(rule.head)(True, head[0], head[1]))
-                changed = True
-    return atoms
+    """Positive atoms of the fixpoint, by the reference's full re-scan."""
+    literals = list(kb.literals)
+    reference._close(literals, rule_patterns(rules))
+    return {(predicate, args) for positive, predicate, args in literals if positive}
 
 
 def seminaive_chain_literals(kb, rules):

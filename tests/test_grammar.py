@@ -18,7 +18,7 @@ from actionccg.syntax import MAX_DEPTH
 from actionccg.terms import (And, App, Const, Exists, Lam, Pred, Var,
                              alpha_eq, beta_reduce, is_beta_normal,
                              predications)
-from oracles import db_normal_form, to_debruijn
+from oracles import db_normal_form, db_subst_free, de_bruijn
 
 
 class TestCategories:
@@ -190,7 +190,24 @@ class TestApplyArgument:
         assert out == Pred("p", (Const("b"), arg))
         # apply_argument feeds the inner binder first
         swapped = App(App(Lam("y", Lam("f", fun.body.body)), arg), Const("b"))
-        assert to_debruijn(out) == db_normal_form(to_debruijn(swapped))
+        assert de_bruijn(out) == db_normal_form(de_bruijn(swapped))
+
+    def test_pending_binder_does_not_capture_a_constant_put_in_functor_position(self):
+        fun = Lam("c", Lam("f", Pred("f", (Var("c"),))))
+        partial = apply_argument(fun, Const("c"))
+        assert partial.param != "c"
+        out = apply_argument(partial, Const("d"))
+        assert out == Pred("c", (Const("d"),))
+        # the inner binder is fed first, so ``f`` is free in what is left
+        rest = Lam("c", fun.body.body)
+        assert de_bruijn(out) == db_normal_form(
+            ("app", db_subst_free(de_bruijn(rest), "f", ("const", "c")),
+             ("const", "d")))
+
+    def test_a_constant_argument_renames_no_binder_it_cannot_meet(self):
+        fun = Lam("c", Lam("f", Pred("p", (Var("f"), Var("c")))))
+        assert apply_argument(fun, Const("c")) == Lam(
+            "c", Pred("p", (Const("c"), Var("c"))))
 
     def test_hoisted_quantifier_does_not_capture_a_restrictor_functor(self):
         arg = Exists("x", And(Pred("soup", (Var("x"),)),

@@ -27,10 +27,9 @@ from actionccg.terms import (And, App, Const, Exists, Forall, Implies, Lam,
                              canonical, free_vars, inverse_lambda, render,
                              rename_constants, substitute)
 from oracles import (OracleBudgetError, analytic_gradient, brute_force_roots,
-                     db_alpha_eq, db_normal_form, db_subst_free,
+                     db_alpha_eq, db_normal_form, db_subst_free, de_bruijn,
                      derivation_signature, naive_chain_atoms,
-                     numeric_gradient, seminaive_chain_literals, supporting,
-                     to_debruijn)
+                     numeric_gradient, seminaive_chain_literals, supporting)
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -87,7 +86,7 @@ def reduce_both_ways(term):
     """Package normal form and oracle normal form, or skip the case."""
     try:
         reduced = beta_reduce(term, budget=STEP_BUDGET)
-        oracle = db_normal_form(to_debruijn(term), budget=ORACLE_BUDGET)
+        oracle = db_normal_form(de_bruijn(term), budget=ORACLE_BUDGET)
     except (NonTerminationError, OracleBudgetError):
         assume(False)
     return reduced, oracle
@@ -97,12 +96,12 @@ class TestTermProperties:
     @COMMON
     @given(lambda_terms())
     def test_render_parse_round_trip_on_closed_terms(self, term):
-        assert to_debruijn(parse_term(render(term))) == to_debruijn(term)
+        assert de_bruijn(parse_term(render(term))) == de_bruijn(term)
 
     @COMMON
     @given(lambda_terms(env=("x", "y")))
     def test_render_parse_round_trip_with_free_variables(self, term):
-        assert to_debruijn(parse_term(render(term))) == to_debruijn(term)
+        assert de_bruijn(parse_term(render(term))) == de_bruijn(term)
 
     @COMMON
     @given(lambda_terms(env=("x", "y")))
@@ -117,20 +116,20 @@ class TestTermProperties:
     @given(lambda_terms())
     def test_reduction_agrees_with_innermost_oracle(self, term):
         reduced, oracle = reduce_both_ways(term)
-        assert to_debruijn(reduced) == oracle
+        assert de_bruijn(reduced) == oracle
 
     @COMMON
     @given(lambda_terms())
     def test_reduction_is_idempotent(self, term):
         reduced, _ = reduce_both_ways(term)
-        assert to_debruijn(beta_reduce(reduced)) == to_debruijn(reduced)
+        assert de_bruijn(beta_reduce(reduced)) == de_bruijn(reduced)
 
     @COMMON
     @given(lambda_terms(env=("x", "y")), st.sampled_from(VARS),
            lambda_terms(env=("x",), depth=2))
     def test_substitution_matches_de_bruijn_oracle(self, term, name, rep):
-        got = to_debruijn(substitute(term, name, rep))
-        want = db_subst_free(to_debruijn(term), name, to_debruijn(rep))
+        got = de_bruijn(substitute(term, name, rep))
+        want = db_subst_free(de_bruijn(term), name, de_bruijn(rep))
         assert got == want
 
     @COMMON

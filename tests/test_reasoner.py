@@ -21,7 +21,8 @@ from actionccg.reasoning import (MAX_DERIVED, AxiomRule, FactBase, Literal,
                                  parse_literal, report)
 from actionccg.terms import And, Const, Implies, Not, Pred
 
-from oracles import naive_chain_atoms, seminaive_chain_literals
+from oracles import (naive_chain_atoms, reference, rule_patterns,
+                     seminaive_chain_literals)
 
 AXIOM_TEXTS = (
     "axiom a1: contained(Y,X) & on_top(Z,Y) => on_top(Z,X)",
@@ -728,6 +729,15 @@ class WorkingSetMachine(RuleBasedStateMachine):
     working set with a newer value; a budget of 0 or 1 makes a chain fail
     part way.  Each predicate takes the arity the decks give it, so that
     retracted facts have shapes the joins probe.
+
+    Beside each fact base the machine keeps the benchmark's reference
+    replay of the same steps: its ``_assert`` per literal, its naive
+    ``_close`` per chain that succeeds, and the older value's replay on
+    reuse (a step copies the replay before it changes it).  After every
+    step the literal set and the retraction log must equal the replay's,
+    which checks ``with_literal`` and ``forward_chain`` against code that
+    shares none of the package's, across re-assertions after a retraction
+    and changes of rule deck.
     """
 
     DECKS = ((), tuple(axioms()), tuple(axioms()[:2]), (
@@ -742,12 +752,22 @@ class WorkingSetMachine(RuleBasedStateMachine):
 
     @initialize()
     def empty(self):
-        self.kb = FactBase()
-        self.older = [self.kb]
+        self.kb, self.replay = FactBase(), ([], [])
+        self.older = [(self.kb, self.replay)]
 
-    def move_to(self, kb):
-        self.older.append(self.kb)
-        self.kb = kb
+    def replayed(self, literals=(), rules=None):
+        """A copy of the current replay, ``literals`` then asserted one by
+        one and, given ``rules``, closed under them."""
+        closed, retracted = (list(part) for part in self.replay)
+        for literal in literals:
+            reference._assert(closed, retracted, tuple(literal))
+        if rules is not None:
+            reference._close(closed, rule_patterns(rules))
+        return closed, retracted
+
+    def move_to(self, kb, replay):
+        self.older.append((self.kb, self.replay))
+        self.kb, self.replay = kb, replay
 
     @rule(event=st.lists(literals, min_size=1, max_size=3))
     def assert_literals(self, event):
@@ -766,7 +786,7 @@ class WorkingSetMachine(RuleBasedStateMachine):
         assert (kb.literals, kb.retracted) == (plain.literals, plain.retracted)
         assert len(set(kb.literals)) == len(kb.literals)
         assert not {l.negated() for l in kb.literals} & set(kb.literals)
-        self.move_to(kb)
+        self.move_to(kb, self.replayed(event))
 
     @rule(deck=st.integers(0, len(DECKS) - 1),
           budget=st.sampled_from((0, 1) + (MAX_DERIVED,) * 4))
@@ -782,7 +802,7 @@ class WorkingSetMachine(RuleBasedStateMachine):
         assert_index_is_fresh(closed, deck)
         assert forward_chain(FactBase(kb.literals, kb.retracted), deck).literals == want
         assert closed.retracted == kb.retracted
-        self.move_to(closed)
+        self.move_to(closed, self.replayed(rules=deck))
 
     @precondition(lambda self: any(l.positive for l in self.kb.literals))
     @rule(data=st.data())
@@ -795,12 +815,21 @@ class WorkingSetMachine(RuleBasedStateMachine):
         plain = FactBase(kb.literals, kb.retracted).with_literal(fact.negated())
         assert (retracted.literals, retracted.retracted) == (
             plain.literals, plain.retracted)
-        self.move_to(retracted)
+        self.move_to(retracted, self.replayed([fact.negated()]))
 
     @rule(back=st.integers(1, 3), how=st.sampled_from((None, copy.copy, rebuilt)))
     def reuse(self, back, how):
-        kb = self.older[-min(back, len(self.older))]
-        self.move_to(kb if how is None else how(kb))
+        kb, replay = self.older[-min(back, len(self.older))]
+        self.move_to(kb if how is None else how(kb), replay)
+
+    @invariant()
+    def literals_are_the_replay(self):
+        """The literal set and the retraction log are the reference
+        replay's, and no literal is held twice."""
+        closed, retracted = self.replay
+        assert set(self.kb.literals) == set(closed)
+        assert len(self.kb.literals) == len(closed)
+        assert list(self.kb.retracted) == retracted
 
     @invariant()
     def working_set_is_the_literals(self):

@@ -15,7 +15,7 @@ from actionccg.terms import (And, App, Binder, Const, Exists, Forall,
                              is_beta_normal, render, rename_constants,
                              substitute)
 from oracles import (OracleBudgetError, db_alpha_eq, db_normal_form,
-                     db_subst_free, to_debruijn)
+                     db_subst_free, de_bruijn)
 
 
 def t(text):
@@ -68,8 +68,8 @@ class TestSubstitute:
     def test_matches_de_bruijn_oracle(self, source, var, rep):
         term = t(source)
         replacement = t(rep)
-        got = to_debruijn(substitute(term, var, replacement))
-        want = db_subst_free(to_debruijn(term), var, to_debruijn(replacement))
+        got = de_bruijn(substitute(term, var, replacement))
+        want = db_subst_free(de_bruijn(term), var, de_bruijn(replacement))
         assert got == want
 
     def test_pred_head_rewrite_atomic(self):
@@ -81,8 +81,8 @@ class TestSubstitute:
         rep = t(r"\z.on_top(z,x)")
         out = substitute(term, "f", rep)
         assert out.var != "x"
-        assert to_debruijn(out) == db_subst_free(to_debruijn(term), "f",
-                                                 to_debruijn(rep))
+        assert de_bruijn(out) == db_subst_free(de_bruijn(term), "f",
+                                               de_bruijn(rep))
 
     def test_pred_head_rewrite_unfolds_lambda(self):
         out = substitute(Pred("f", (Const("knife"),)), "f", t(r"\z.moved(z)"))
@@ -176,7 +176,7 @@ def stepwise(term, budget):
 def oracle_apply(fun, arg):
     """Normal form of ``fun`` applied to ``arg``, in de Bruijn form: the
     oracle's own substitution into the body, then its own reducer."""
-    body = db_subst_free(to_debruijn(fun.body), fun.param, to_debruijn(arg))
+    body = db_subst_free(de_bruijn(fun.body), fun.param, de_bruijn(arg))
     return db_normal_form(body, budget=800)
 
 
@@ -207,7 +207,7 @@ class TestRootApplication:
                 oracle = oracle_apply(fun, arg)
             except OracleBudgetError:
                 continue
-            assert to_debruijn(got) == oracle
+            assert de_bruijn(got) == oracle
             seen["checked against the oracle"] += 1
         assert min(seen.values()) > 100, seen
 
@@ -220,7 +220,7 @@ class TestRootApplication:
     def test_binder_capture_renames_as_stepwise_does(self, fun, arg):
         fun, arg = t(fun), t(arg)
         got = self.agrees(fun, arg)
-        assert to_debruijn(got) == oracle_apply(fun, arg)
+        assert de_bruijn(got) == oracle_apply(fun, arg)
         assert "y" in free_vars(got)
 
     @pytest.mark.parametrize("fun", [
@@ -238,7 +238,7 @@ class TestRootApplication:
         arg = t(arg)
         got = self.agrees(fun, arg)
         assert got == t(want)
-        assert to_debruijn(got) == oracle_apply(fun, arg)
+        assert de_bruijn(got) == oracle_apply(fun, arg)
 
     def test_binder_does_not_capture_an_argument_functor(self):
         # built, not parsed: a binder named like the argument's functor
@@ -247,8 +247,19 @@ class TestRootApplication:
         assert got.param != "y"
         applied = beta_reduce(App(got, Const("c")))
         assert applied == arg
-        assert to_debruijn(applied) == db_normal_form(
+        assert de_bruijn(applied) == db_normal_form(
             ("app", oracle_apply(fun, arg), ("const", "c")))
+
+    def test_binder_does_not_capture_a_constant_put_in_functor_position(self):
+        # built, not parsed: a binder named like a constant argument
+        fun = Lam("f", Lam("c", Pred("f", (Var("c"),))))
+        got = self.agrees(fun, Const("c"))
+        assert got.param != "c"
+        applied = beta_reduce(App(got, Const("d")))
+        assert applied == Pred("c", (Const("d"),))
+        assert de_bruijn(applied) == db_normal_form(
+            ("app", db_subst_free(de_bruijn(fun.body), "f", ("const", "c")),
+             ("const", "d")))
 
     @pytest.mark.parametrize("budget", [0, 1, 50, terms.DEFAULT_STEP_BUDGET])
     def test_self_application_raises_as_stepwise_does(self, budget):
