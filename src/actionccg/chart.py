@@ -16,8 +16,8 @@ from collections import Counter
 from .errors import NoParseError, NonFiniteWeightError, UnknownTokenError
 from .grammar import (GOAL_CATEGORY, Category, LexEntry, Lexicon, combine,
                       render_category, unary_project)
-from .terms import (Const, Term, canonical, predications, rename_constants,
-                    stem)
+from .terms import (Const, Term, canonical, constants, predications,
+                    rename_constants)
 from .value import Value, store
 
 FeatureKey = tuple[str, str, str]
@@ -231,50 +231,48 @@ def _cache_key(tokens, lexicon: Lexicon):
     ``names`` lists those names in order of first occurrence.  Any two
     sentences of one key parse alike up to those names, with two
     exceptions the callers handle: the tie-break, which reads names, and
-    predicate names made from a constant.  Names that ``fresh_name``
-    invents are a name of an entry plus digits, so a constant whose stem
-    (``LexEntry.stems``) is a stem of the sentence's other entries could
-    change a choice: such a sentence gets None, as does one with an
-    unknown token.
+    predicate names made from a constant.  No binder binds a constant, so
+    no other choice reads a constant's name.  But ``rename_constants``
+    renames every constant of a name, so a sentence whose bare constant is
+    also a constant inside one of its other entries gets None, as does one
+    with an unknown token.
     """
     cache = lexicon.parse_cache
     shapes, pattern, keys, names = [], [], {}, {}
-    constant_stems, other_stems = set(), set()
+    inside = set()
     for token in tokens:
         found = cache.get(token)
         if found is None:
             found = cache[token] = _token_shape(token, lexicon)
         if not found:
             return None
-        shape, constants, stems, others = found
+        shape, bare, others = found
         shapes.append(shape)
-        constant_stems |= stems
-        other_stems |= others
-        for key, name in constants:
+        inside |= others
+        for key, name in bare:
             pattern.append((keys.setdefault(key, len(keys)),
                             names.setdefault(name, len(names))))
-    if not constant_stems.isdisjoint(other_stems):
+    if not inside.isdisjoint(names):
         return None
     return (tuple(shapes), tuple(pattern)), tuple(names)
 
 
 def _token_shape(token: str, lexicon: Lexicon) -> tuple:
-    """``()`` for an unknown token, else ``(shape, constants, constant
-    stems, other stems)``: the shape lists each entry, a bare-constant one
-    as its category and weight and any other as its key; ``constants``
-    pairs each bare-constant entry's key with its name; the stems are
-    those of the bare-constant entries and of the others."""
+    """``()`` for an unknown token, else ``(shape, bare, others)``: the
+    shape lists each entry, a bare-constant one as its category and weight
+    and any other as its key; ``bare`` pairs each bare-constant entry's key
+    with its name; ``others`` holds the constants inside the other
+    entries."""
     entries = lexicon.lookup(token)
     if not entries:
         return ()
-    shape, constants, stems, others = [], [], set(), set()
+    shape, bare, others = [], [], set()
     for entry in entries:
         key = entry.key
         if isinstance(entry.semantics, Const):
             shape.append((key[1], lexicon.weight_of(key)))
-            constants.append((key, entry.semantics.name))
-            stems.add(stem(entry.semantics.name))
+            bare.append((key, entry.semantics.name))
         else:
             shape.append(key)
-            others |= entry.stems
-    return tuple(shape), constants, stems, others
+            others |= constants(entry.semantics)
+    return tuple(shape), bare, others

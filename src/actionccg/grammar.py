@@ -21,9 +21,9 @@ import math
 
 from .errors import NonFiniteWeightError, SourceSyntaxError
 from .syntax import MAX_DEPTH, Tokens, check_depth
-from .terms import (App, Binder, Const, Exists, Forall, Implies, Lam, Term,
-                    Var, And, all_names, beta_reduce, canonical, free_functors,
-                    free_names, fresh_name, stem, substitute)
+from .terms import (App, Binder, Exists, Forall, Implies, Lam, Term, Var, And,
+                    beta_reduce, canonical, free_vars, fresh_name, substitute,
+                    var_names)
 from .value import Value, store
 
 ATOMIC_CATEGORIES = ("N", "NP", "AP")
@@ -146,7 +146,7 @@ class LexEntry(Value):
     It takes no part in equality."""
 
     _fields = ("token", "category", "semantics", "weight")
-    __slots__ = _fields + ("key", "_stems")
+    __slots__ = _fields + ("key",)
 
     def __init__(self, token: str, category: Category, semantics: Term,
                  weight: float = 0.0):
@@ -168,18 +168,6 @@ class LexEntry(Value):
         entry = object.__new__(LexEntry)
         entry._store(self.token, self.category, self.semantics, weight, self.key)
         return entry
-
-    @property
-    def stems(self) -> frozenset[str]:
-        """The ``stem`` of each name in ``semantics``, so also of each name
-        ``fresh_name`` can invent for its binders.  Computed on first use,
-        once per entry object."""
-        try:
-            return self._stems
-        except AttributeError:
-            stems = frozenset(stem(name) for name in all_names(self.semantics))
-            store(self, "_stems", stems)
-            return stems
 
     def __str__(self) -> str:
         return (f"{self.token} := {render_category(self.category)} : "
@@ -280,31 +268,18 @@ def apply_argument(fun: Term, arg: Term) -> Term:
 
 def _under_binder(binder: Binder, outside: Term, inner) -> Term:
     """``binder`` over ``inner(body, outside)``, its variable first renamed
-    away from the free variables and functors of ``outside``, and from a
-    constant argument that ``apply_argument`` puts in functor position."""
+    away from the free variables of ``outside``."""
     name, body = binder.binds, binder.body
-    taken = free_names(outside)
-    if (isinstance(outside, Const) and name == outside.name
-            and inner is apply_argument and _feeds_functor(body)):
-        taken |= {name}
+    taken = free_vars(outside)
     if name in taken:
-        renamed = fresh_name(name, taken | all_names(body))
+        renamed = fresh_name(name, taken | var_names(body))
         body = substitute(body, name, Var(renamed))
         name = renamed
     return binder.rebind(name, inner(body, outside))
 
 
-def _feeds_functor(fun: Term) -> bool:
-    """Whether the lambda that ``apply_argument`` feeds ``fun``'s next
-    argument to has its variable as a functor."""
-    while isinstance(fun, (Forall, Exists)) or (
-            isinstance(fun, Lam) and isinstance(fun.body, Lam)):
-        fun = fun.body
-    return isinstance(fun, Lam) and fun.param in free_functors(fun.body)
-
-
 def _hoist_quantifier(fun: Term, arg: Term) -> Term:
-    var = fresh_name(arg.var, free_names(arg.body) | all_names(fun))
+    var = fresh_name(arg.var, free_vars(arg.body) | var_names(fun))
     restrictor = (arg.body if var == arg.var
                   else substitute(arg.body, arg.var, Var(var)))
     core = apply_argument(fun, Var(var))

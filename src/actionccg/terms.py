@@ -7,6 +7,12 @@ whose function is still unknown (a bound name, as in
 ``Pred`` as soon as reduction reveals an atomic head.
 All operations are pure, so sharing terms across threads is safe.
 
+One naming rule holds throughout: a binder binds variables only.  The
+name of a ``Const`` or of a ``Pred`` functor is a constant of the logic,
+so ``\\f.f(a)`` built as ``Lam("f", Pred("f", ...))`` is a constant
+function, as ``canonical``, ``alpha_eq`` and ``free_vars`` read it, and a
+binder is renamed only to keep a free variable free.
+
 Every node lists its direct subterms from left to right with ``kids()``
 and rebuilds itself around new ones with ``remake(kids)``; a ``Binder``
 (``Lam``, ``Forall``, ``Exists``) also names the variable it ``binds``, and
@@ -185,46 +191,41 @@ def free_vars(term: Term) -> frozenset[str]:
     variables, so they are not reported.
     """
     out: set[str] = set()
-    _free(term, frozenset(), out, Var)
+    _free(term, frozenset(), out)
     return frozenset(out)
 
 
-def free_names(term: Term) -> frozenset[str]:
-    """``free_vars(term)`` and the functors ``term`` leaves unbound: every
-    name that a binder put around ``term`` would capture, since a binder
-    of a functor's name binds it (substitution rewrites it)."""
-    out: set[str] = set()
-    _free(term, frozenset(), out, (Var, Pred))
-    return frozenset(out)
-
-
-def free_functors(term: Term) -> frozenset[str]:
-    """The functors ``term`` leaves unbound."""
-    out: set[str] = set()
-    _free(term, frozenset(), out, Pred)
-    return frozenset(out)
-
-
-def _free(t: Term, bound: frozenset[str], out: set[str], named) -> None:
+def _free(t: Term, bound: frozenset[str], out: set[str]) -> None:
     if isinstance(t, Binder):
-        _free(t.body, bound | {t.binds}, out, named)
+        _free(t.body, bound | {t.binds}, out)
         return
-    if isinstance(t, named) and t.name not in bound:
+    if isinstance(t, Var) and t.name not in bound:
         out.add(t.name)
     for kid in t.kids():
-        _free(kid, bound, out, named)
+        _free(kid, bound, out)
 
 
-def all_names(term: Term) -> frozenset[str]:
-    """Every identifier in ``term``: variables, constants, functors, binders."""
+def var_names(term: Term) -> frozenset[str]:
+    """Every variable and binder name in ``term``, free or bound: what a
+    fresh binder name avoids.  No binder binds a constant or a functor, so
+    no binder name depends on theirs."""
+    return _names(term, (Var, Binder))
+
+
+def constants(term: Term) -> frozenset[str]:
+    """The name of each ``Const`` in ``term``."""
+    return _names(term, Const)
+
+
+def _names(term: Term, kinds) -> frozenset[str]:
+    """The name of each node of ``kinds`` in ``term``, a binder's being the
+    name it binds."""
     out: set[str] = set()
     stack = [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, (Var, Const, Pred)):
-            out.add(t.name)
-        elif isinstance(t, Binder):
-            out.add(t.binds)
+        if isinstance(t, kinds):
+            out.add(t.binds if isinstance(t, Binder) else t.name)
         stack.extend(t.kids())
     return frozenset(out)
 
@@ -253,39 +254,28 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{base}{i}"
 
 
-def stem(name: str) -> str:
-    """``name`` less its trailing digits: every name that ``fresh_name``
-    returns has the stem of its ``base``."""
-    return name.rstrip("0123456789")
-
-
 def substitute(term: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of ``replacement`` for free ``var``.
 
-    A ``Pred`` functor equal to ``var`` is rewritten too: with an atomic
-    replacement the predication is renamed in place, otherwise it unfolds
-    into an application spine for later reduction.
-    """
-    return _subst(term, var, replacement, free_names(replacement))[0]
+    Only variables are substituted: a ``Const`` or a ``Pred`` functor is a
+    constant of the logic, and no binder binds it."""
+    return _subst(term, var, replacement, free_vars(replacement))[0]
 
 
 def _subst(t: Term, var: str, rep: Term,
            fvr: frozenset[str]) -> tuple[Term, bool]:
     """``t`` with ``rep`` for free ``var``, and whether the walk met or made
-    a redex: an application of a ``Lam``, ``Const`` or ``Pred``, a functor
-    unfolded into a spine, or a binder of ``var``, kept unwalked, that is
-    not normal.  Copies of ``rep`` are not looked into."""
+    a redex: an application of a ``Lam``, ``Const`` or ``Pred``, or a binder
+    of ``var``, kept unwalked, that is not normal.  Copies of ``rep`` are not
+    looked into."""
     if isinstance(t, Var):
         return (rep if t.name == var else t), False
     if isinstance(t, Binder):
         if t.binds == var:
             return t, not is_beta_normal(t)
         name, body = t.binds, t.body
-        # a constant put in functor position names the predication, which
-        # a binder of that name would capture
-        if (name in fvr and var in free_names(body) or isinstance(rep, Const)
-                and name == rep.name and var in free_functors(body)):
-            name = fresh_name(name, fvr | all_names(body) | {var, name})
+        if name in fvr and var in free_vars(body):
+            name = fresh_name(name, fvr | var_names(body))
             # a renaming makes no redex, and the walk below meets every
             # redex it keeps
             body = _subst(body, t.binds, Var(name), frozenset({name}))[0]
@@ -297,13 +287,6 @@ def _subst(t: Term, var: str, rep: Term,
         kid, met = _subst(kid, var, rep, fvr)
         kids.append(kid)
         redex = redex or met
-    if isinstance(t, Pred) and t.name == var:
-        if isinstance(rep, (Var, Const)):
-            return Pred(rep.name, kids), redex
-        spine = rep
-        for arg in kids:
-            spine = App(spine, arg)
-        return spine, True
     if isinstance(t, App):
         return App(*kids), redex or isinstance(kids[0], (Lam, Const, Pred))
     return t.remake(kids), redex
@@ -338,7 +321,7 @@ def beta_reduce(term: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     """
     if isinstance(term, App) and isinstance(term.fun, Lam):
         fun, arg = term.fun, term.arg
-        term, redex = _subst(fun.body, fun.param, arg, free_names(arg))
+        term, redex = _subst(fun.body, fun.param, arg, free_vars(arg))
         if not redex and budget >= 1 and (
                 isinstance(arg, (Var, Const)) or is_beta_normal(arg)):
             return term
@@ -393,7 +376,7 @@ def inverse_lambda(result: Term, arg: Term) -> Lam:
     most general candidate.  When ``arg`` does not occur the outcome is a
     constant function and a ConstantFunctionWarning is emitted.
     """
-    v = fresh_name("v", all_names(result) | all_names(arg))
+    v = fresh_name("v", var_names(result) | var_names(arg))
     kind = type(arg)
     # a constant's canonical string is a function of its name alone
     key = None if kind is Const else canonical(arg)
@@ -458,7 +441,11 @@ SYNTAX = {
 
 
 def render(term: Term) -> str:
-    """ASCII surface form; ``parse_term`` inverts it."""
+    """ASCII surface form; ``parse_term`` inverts it.
+
+    A binder whose body holds a constant or functor of its own name would
+    read back as binding it, so it is written under a ``fresh_name``
+    instead.  No term that ``parse_term`` returns has such a binder."""
     return _render(term, P_BODY, {}, None)
 
 
@@ -499,6 +486,9 @@ def _render(t: Term, ctx: int, env: dict[str, str],
         if counter is not None:
             name = f"^{counter[0]}"
             counter[0] += 1
+        elif name in _names(t.body, (Const, Pred)):
+            name = fresh_name(name, _names(t.body, (Var, Const, Pred, Binder))
+                              | set(env.values()))
         body = _render(t.body, last, {**env, t.binds: name}, counter)
         out = f"{before}{name}{between}{body}"
     else:

@@ -78,23 +78,15 @@ def _subst_index(t, j, s):
 
 
 def db_subst_free(t, name, rep):
-    """Replace free occurrences of ``name``; also rewrites a matching
-    predicate head, mirroring the package's convention."""
+    """Replace free occurrences of the variable ``name``; a predicate head
+    is a constant and stays."""
     kind = t[0]
     if kind == "free":
         return rep if t[1] == name else t
     if kind in ("var", "const"):
         return t
     if kind == "pred":
-        args = tuple(db_subst_free(a, name, rep) for a in t[2])
-        if t[1] == name:
-            if rep[0] in ("free", "const"):
-                return ("pred", rep[1], args)
-            spine = rep
-            for a in args:
-                spine = ("app", spine, a)
-            return spine
-        return ("pred", t[1], args)
+        return ("pred", t[1], tuple(db_subst_free(a, name, rep) for a in t[2]))
     if kind in _BINDERS:
         return (kind, db_subst_free(t[1], name, _shift(rep, 1)))
     if kind in _PAIRS:

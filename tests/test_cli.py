@@ -139,6 +139,20 @@ class TestParseCommand:
         assert code == 0 and err == ""
         assert out == f"{token.lower()}(knife,cucumber)  p=1.000\n"
 
+    def test_a_constant_applied_as_a_function_is_not_bound_by_a_binder_of_its_name(
+            self, capsys, tmp_path):
+        # Knife fills ``f`` and Bowl the binder ``knife``, which binds the
+        # variable only: the functor ``knife`` is a constant
+        path = tmp_path / "do.lex"
+        path.write_text("Knife := N : knife\n"
+                        "Bowl := N : bowl\n"
+                        "Do := (AP/NP)/NP : \\knife.\\f.f(knife)\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--lexicon", str(path),
+                             "Do Knife Bowl")
+        assert code == 0 and err == ""
+        assert out == "knife(bowl)  p=1.000\n"
+
     @pytest.mark.parametrize("token", ["Pick-up", "Forall"])
     def test_an_unknown_token_that_names_no_predicate_stays_unknown(
             self, capsys, token):

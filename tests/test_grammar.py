@@ -16,8 +16,7 @@ from actionccg.grammar import (AP, GOAL_CATEGORY, N, NP, Atom, Backward,
                                unary_project)
 from actionccg.syntax import MAX_DEPTH
 from actionccg.terms import (And, App, Const, Exists, Lam, Pred, Var,
-                             alpha_eq, beta_reduce, is_beta_normal,
-                             predications)
+                             alpha_eq, beta_reduce, is_beta_normal, render)
 from oracles import db_normal_form, db_subst_free, de_bruijn
 
 
@@ -192,10 +191,12 @@ class TestApplyArgument:
         swapped = App(App(Lam("y", Lam("f", fun.body.body)), arg), Const("b"))
         assert de_bruijn(out) == db_normal_form(de_bruijn(swapped))
 
-    def test_pending_binder_does_not_capture_a_constant_put_in_functor_position(self):
-        fun = Lam("c", Lam("f", Pred("f", (Var("c"),))))
+    def test_a_constant_put_in_functor_position_is_not_bound_by_a_pending_binder(self):
+        # parsed: ``f`` is a bound functor, so an application spine
+        fun = parse_term(r"\c.\f.f(c)")
         partial = apply_argument(fun, Const("c"))
-        assert partial.param != "c"
+        assert partial == Lam("c", Pred("c", (Var("c"),)))
+        assert render(partial) == r"\c1.c(c1)"
         out = apply_argument(partial, Const("d"))
         assert out == Pred("c", (Const("d"),))
         # the inner binder is fed first, so ``f`` is free in what is left
@@ -209,14 +210,19 @@ class TestApplyArgument:
         assert apply_argument(fun, Const("c")) == Lam(
             "c", Pred("p", (Const("c"), Var("c"))))
 
-    def test_hoisted_quantifier_does_not_capture_a_restrictor_functor(self):
-        arg = Exists("x", And(Pred("soup", (Var("x"),)),
-                              Pred("x1", (Const("a"),))))
-        out = apply_argument(parse_term(r"\y.stirring(y)"), arg)
-        assert out.var not in ("x", "x1")
-        # the functor stays free: an outer binder of it still reaches it
-        bound = beta_reduce(App(Lam("x1", out), Const("pot")))
-        assert ("pot", 1) in set(predications(bound))
+    def test_hoisted_quantifier_names_itself_apart_from_variables_only(self):
+        # built: a restrictor functor ``x1`` is a constant, which no binder
+        # binds, so the quantifier's name does not depend on it
+        def hoist(functor):
+            arg = Exists("x", And(Pred("soup", (Var("x"),)),
+                                  Pred(functor, (Const("pan"),))))
+            return apply_argument(parse_term(r"\y.stirring(y)"), arg)
+
+        out = hoist("x1")
+        assert out.var == hoist("kept").var == "x1"
+        assert de_bruijn(parse_term(render(out))) == de_bruijn(out)
+        # an outer binder of the functor's name leaves it as it is
+        assert beta_reduce(App(Lam("x1", out), Const("pot"))) == out
 
 
 class TestLexicon:

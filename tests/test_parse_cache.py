@@ -24,8 +24,9 @@ from oracles import supporting
 ACTION = parse_category(r"(AP\NP)/NP")
 QUANTIFIER = parse_category(r"NP\NP")
 
-# constant names: plain ones, ones the action entries below also use,
-# and ones whose stem (less trailing digits) is a binder's (x, y, z, f)
+# constant names: plain ones, ones the action entries below also use (a
+# sentence that holds one is parsed in full), and ones spelled like a
+# binder of those entries (x, y, z, f) or like a fresh name for one
 NAMES = ("knife", "spoon", "pan", "jar", "mug", "object_007", "object_008",
          "cup", "bowl", "lid", "cut", "x", "x1", "y2", "z7", "f", "f3")
 # action semantics: two that tie in an order the names decide, constants

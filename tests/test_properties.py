@@ -45,7 +45,12 @@ ORACLE_BUDGET = 800
 
 
 @st.composite
-def lambda_terms(draw, env=(), depth=3):
+def lambda_terms(draw, env=(), depth=3, binders=VARS):
+    """A term over the bound names ``env``, its binders named from
+    ``binders``."""
+    def sub(env, depth):
+        return draw(lambda_terms(env=env, depth=depth, binders=binders))
+
     choices = ["const", "pred"]
     if env:
         choices += ["var", "var", "var"]
@@ -59,27 +64,24 @@ def lambda_terms(draw, env=(), depth=3):
         return Const(draw(st.sampled_from(CONSTS)))
     if kind == "pred":
         arity = draw(st.integers(1, 2))
-        args = tuple(draw(lambda_terms(env=env, depth=max(depth - 1, 0)))
-                     for _ in range(arity))
+        args = tuple(sub(env, max(depth - 1, 0)) for _ in range(arity))
         return Pred(draw(st.sampled_from(PREDS)), args)
     if kind in ("lam", "forall", "exists"):
-        name = draw(st.sampled_from(VARS))
-        body = draw(lambda_terms(env=env + (name,), depth=depth - 1))
+        name = draw(st.sampled_from(binders))
+        body = sub(env + (name,), depth - 1)
         ctor = {"lam": Lam, "forall": Forall, "exists": Exists}[kind]
         return ctor(name, body)
     if kind == "not":
-        return Not(draw(lambda_terms(env=env, depth=depth - 1)))
+        return Not(sub(env, depth - 1))
     if kind == "app":
         if env and draw(st.booleans()):
             fun = Var(draw(st.sampled_from(env)))
         else:
-            name = draw(st.sampled_from(VARS))
-            fun = Lam(name, draw(lambda_terms(env=env + (name,),
-                                              depth=depth - 1)))
-        return App(fun, draw(lambda_terms(env=env, depth=depth - 1)))
+            name = draw(st.sampled_from(binders))
+            fun = Lam(name, sub(env + (name,), depth - 1))
+        return App(fun, sub(env, depth - 1))
     ctor = {"and": And, "or": Or, "implies": Implies}[kind]
-    return ctor(draw(lambda_terms(env=env, depth=depth - 1)),
-                draw(lambda_terms(env=env, depth=depth - 1)))
+    return ctor(sub(env, depth - 1), sub(env, depth - 1))
 
 
 def reduce_both_ways(term):
@@ -93,13 +95,14 @@ def reduce_both_ways(term):
 
 
 class TestTermProperties:
+    # binders may be named like a constant or a functor of the term
     @COMMON
-    @given(lambda_terms())
+    @given(lambda_terms(binders=VARS + CONSTS + PREDS))
     def test_render_parse_round_trip_on_closed_terms(self, term):
         assert de_bruijn(parse_term(render(term))) == de_bruijn(term)
 
     @COMMON
-    @given(lambda_terms(env=("x", "y")))
+    @given(lambda_terms(env=("x", "y"), binders=VARS + CONSTS + PREDS))
     def test_render_parse_round_trip_with_free_variables(self, term):
         assert de_bruijn(parse_term(render(term))) == de_bruijn(term)
 

@@ -72,21 +72,23 @@ class TestSubstitute:
         want = db_subst_free(de_bruijn(term), var, de_bruijn(replacement))
         assert got == want
 
-    def test_pred_head_rewrite_atomic(self):
-        out = substitute(Pred("f", (Var("x"),)), "f", Const("tomato"))
-        assert out == Pred("tomato", (Var("x"),))
-
-    def test_functor_under_a_capturing_binder_forces_rename(self):
-        term = Forall("x", Pred("f", (Var("x"),)))
-        rep = t(r"\z.on_top(z,x)")
+    @pytest.mark.parametrize("rep", [Const("tomato"), t(r"\z.moved(z)")])
+    def test_a_functor_is_a_constant_and_is_never_substituted(self, rep):
+        term = Pred("f", (Const("knife"),))
         out = substitute(term, "f", rep)
-        assert out.var != "x"
+        assert out == term
         assert de_bruijn(out) == db_subst_free(de_bruijn(term), "f",
                                                de_bruijn(rep))
 
-    def test_pred_head_rewrite_unfolds_lambda(self):
-        out = substitute(Pred("f", (Const("knife"),)), "f", t(r"\z.moved(z)"))
-        assert beta_reduce(out) == t("moved(knife)")
+    def test_a_binder_named_like_a_functor_of_the_replacement_stays(self):
+        # the replacement's functor ``x`` is a constant: the binder ``x``
+        # cannot capture it, so it keeps its name
+        term = Forall("x", Pred("p", (Var("x"), Var("f"))))
+        rep = Pred("x", (Const("a_const"),))
+        out = substitute(term, "f", rep)
+        assert out == Forall("x", Pred("p", (Var("x"), rep)))
+        assert de_bruijn(out) == db_subst_free(de_bruijn(term), "f",
+                                               de_bruijn(rep))
 
 
 class TestBetaReduce:
@@ -223,43 +225,49 @@ class TestRootApplication:
         assert de_bruijn(got) == oracle_apply(fun, arg)
         assert "y" in free_vars(got)
 
-    @pytest.mark.parametrize("fun", [
-        t(r"\f.forall x.f(x)"),
-        # built, not parsed: the parser reads a bound functor as a spine
-        Lam("f", Forall("x", Pred("f", (Var("x"),)))),
-    ])
     @pytest.mark.parametrize("arg, want", [
         (r"\z.tomato(z)", "forall x.tomato(x)"),
         ("tomato", "forall x.tomato(x)"),
         (r"\z.on_top(z,x)", "forall x1.on_top(x1,x)"),
         (r"\z.\w.on_top(z,w)", r"forall x.\w.on_top(x,w)"),
     ])
-    def test_functor_substitution(self, fun, arg, want):
-        arg = t(arg)
+    def test_functor_substitution(self, arg, want):
+        fun, arg = t(r"\f.forall x.f(x)"), t(arg)
         got = self.agrees(fun, arg)
         assert got == t(want)
         assert de_bruijn(got) == oracle_apply(fun, arg)
 
-    def test_binder_does_not_capture_an_argument_functor(self):
-        # built, not parsed: a binder named like the argument's functor
-        fun, arg = Lam("x", Lam("y", Var("x"))), Pred("y", (Const("a"),))
+    @pytest.mark.parametrize("arg", [r"\z.tomato(z)", "tomato",
+                                     r"\z.on_top(z,x)", r"\z.\w.on_top(z,w)"])
+    def test_a_built_functor_named_like_the_binder_is_a_constant(self, arg):
+        # built, not parsed: the parser reads a bound functor as a spine
+        fun, arg = Lam("f", Forall("x", Pred("f", (Var("x"),)))), t(arg)
         got = self.agrees(fun, arg)
-        assert got.param != "y"
+        assert got == fun.body
+        assert de_bruijn(got) == oracle_apply(fun, arg)
+
+    def test_a_binder_named_like_an_argument_functor_keeps_its_name(self):
+        # built, not parsed: the argument's functor ``y`` is a constant,
+        # which the binder ``y`` cannot capture
+        fun, arg = Lam("x", Lam("y", Var("x"))), Pred("y", (Const("pan"),))
+        got = self.agrees(fun, arg)
+        assert got == Lam("y", arg)
+        assert de_bruijn(parse_term(render(got))) == de_bruijn(got)
         applied = beta_reduce(App(got, Const("c")))
         assert applied == arg
         assert de_bruijn(applied) == db_normal_form(
             ("app", oracle_apply(fun, arg), ("const", "c")))
 
-    def test_binder_does_not_capture_a_constant_put_in_functor_position(self):
-        # built, not parsed: a binder named like a constant argument
-        fun = Lam("f", Lam("c", Pred("f", (Var("c"),))))
-        got = self.agrees(fun, Const("c"))
-        assert got.param != "c"
-        applied = beta_reduce(App(got, Const("d")))
-        assert applied == Pred("c", (Const("d"),))
+    def test_a_constant_put_in_functor_position_is_never_bound(self):
+        # ``knife`` fills ``f``; the binder ``knife`` still takes ``bowl``
+        fun = t(r"\f.\knife.f(knife)")
+        got = self.agrees(fun, Const("knife"))
+        assert got == Lam("knife", Pred("knife", (Var("knife"),)))
+        assert render(got) == r"\knife1.knife(knife1)"
+        applied = beta_reduce(App(got, Const("bowl")))
+        assert applied == t("knife(bowl)")
         assert de_bruijn(applied) == db_normal_form(
-            ("app", db_subst_free(de_bruijn(fun.body), "f", ("const", "c")),
-             ("const", "d")))
+            ("app", oracle_apply(fun, Const("knife")), ("const", "bowl")))
 
     @pytest.mark.parametrize("budget", [0, 1, 50, terms.DEFAULT_STEP_BUDGET])
     def test_self_application_raises_as_stepwise_does(self, budget):
@@ -306,6 +314,14 @@ class TestAlphaEq:
         learned = t(r"\x.\y.chopping(x,y) -> divided(y)")
         renamed = t(r"\a.\b.chopping(a,b) -> divided(b)")
         assert alpha_eq(learned, renamed)
+
+    def test_alpha_equivalent_functions_reduce_alike(self):
+        # a functor is a constant, so renaming the binder renames nothing
+        a = Lam("f", Pred("f", (Const("a"),)))
+        b = Lam("g", Pred("f", (Const("a"),)))
+        assert alpha_eq(a, b)
+        for fun in (a, b):
+            assert beta_reduce(App(fun, Const("c"))) == Pred("f", (Const("a"),))
 
     def test_free_variables_compare_by_name(self):
         assert not alpha_eq(Var("x"), Var("y"))

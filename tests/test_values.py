@@ -186,4 +186,3 @@ def test_hidden_state_takes_no_part():
     assert again.plan is not rule.plan and again.plan.steps == rule.plan.steps
     entry = pickle.loads(pickle.dumps(knife))
     assert entry.key == knife.key == ("Knife", "N", "knife")
-    assert entry.stems == knife.stems == {"knife"}
