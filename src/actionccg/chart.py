@@ -67,10 +67,6 @@ class ParseResult(Value):
 
     __slots__ = _fields = ("logical_form", "probability")
 
-    def __init__(self, logical_form: Term, probability: float):
-        store(self, "logical_form", logical_form)
-        store(self, "probability", probability)
-
 
 def parse_all(tokens, lexicon: Lexicon) -> list[Derivation]:
     """Every full-span derivation of the goal category, in chart order.

@@ -31,17 +31,13 @@ from .reasoning import AxiomRule, Literal, parse_axiom, parse_literal
 from .syntax import is_identifier, parse_term, variable_shape_note
 from .terms import (beta_reduce, free_vars, predications, render,
                     rename_constants)
-from .value import Value, store
+from .value import Value
 
 
 class SequenceFile(Value):
     """An ordered run of detector triplets from one observation."""
 
     __slots__ = _fields = ("name", "triplets")
-
-    def __init__(self, name: str, triplets: tuple[tuple[str, str, str], ...]):
-        store(self, "name", name)
-        store(self, "triplets", triplets)
 
 
 def data_path(name: str) -> Path:

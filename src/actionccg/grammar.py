@@ -39,16 +39,9 @@ class Category(Value):
 class Atom(Category):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        store(self, "name", name)
-
 
 class _Slash(Category):
     __slots__ = _fields = ("result", "arg")
-
-    def __init__(self, result: Category, arg: Category):
-        store(self, "result", result)
-        store(self, "arg", arg)
 
 
 class Forward(_Slash):
@@ -279,7 +272,8 @@ def _under_binder(binder: Binder, outside: Term, inner) -> Term:
 
 
 def _hoist_quantifier(fun: Term, arg: Term) -> Term:
-    var = fresh_name(arg.var, free_vars(arg.body) | var_names(fun))
+    taken = (free_vars(arg.body) - {arg.var}) | var_names(fun)
+    var = fresh_name(arg.var, taken)
     restrictor = (arg.body if var == arg.var
                   else substitute(arg.body, arg.var, Var(var)))
     core = apply_argument(fun, Var(var))

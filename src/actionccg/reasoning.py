@@ -556,12 +556,6 @@ class ConsequenceReport(Value):
 
     __slots__ = _fields = ("observed", "deduced", "retracted")
 
-    def __init__(self, observed: tuple[Literal, ...], deduced: tuple[Literal, ...],
-                 retracted: tuple[Literal, ...]):
-        store(self, "observed", observed)
-        store(self, "deduced", deduced)
-        store(self, "retracted", retracted)
-
     def tsv_lines(self) -> list[str]:
         lines = [f"observed\t{l}" for l in self.observed]
         lines += [f"deduced\t{l}" for l in self.deduced]

@@ -62,15 +62,9 @@ class Term(Value):
 class Var(Term):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        store(self, "name", name)
-
 
 class Const(Term):
     __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        store(self, "name", name)
 
 
 class Pred(Term):
@@ -90,10 +84,6 @@ class Pred(Term):
 class App(Term):
     __slots__ = _fields = ("fun", "arg")
 
-    def __init__(self, fun: Term, arg: Term):
-        store(self, "fun", fun)
-        store(self, "arg", arg)
-
     def kids(self) -> tuple[Term, ...]:
         return (self.fun, self.arg)
 
@@ -104,9 +94,6 @@ class App(Term):
 class Not(Term):
     __slots__ = _fields = ("body",)
 
-    def __init__(self, body: Term):
-        store(self, "body", body)
-
     def kids(self) -> tuple[Term, ...]:
         return (self.body,)
 
@@ -116,10 +103,6 @@ class Not(Term):
 
 class _Connective(Term):
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        store(self, "left", left)
-        store(self, "right", right)
 
     def kids(self) -> tuple[Term, ...]:
         return (self.left, self.right)
@@ -159,19 +142,11 @@ class Binder(Term):
 class Lam(Binder):
     __slots__ = _fields = ("param", "body")
 
-    def __init__(self, param: str, body: Term):
-        store(self, "param", param)
-        store(self, "body", body)
-
     binds = property(attrgetter("param"))
 
 
 class _Quantifier(Binder):
     __slots__ = _fields = ("var", "body")
-
-    def __init__(self, var: str, body: Term):
-        store(self, "var", var)
-        store(self, "body", body)
 
     binds = property(attrgetter("var"))
 
@@ -220,24 +195,24 @@ def constants(term: Term) -> frozenset[str]:
 def _names(term: Term, kinds) -> frozenset[str]:
     """The name of each node of ``kinds`` in ``term``, a binder's being the
     name it binds."""
-    out: set[str] = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, kinds):
-            out.add(t.binds if isinstance(t, Binder) else t.name)
-        stack.extend(t.kids())
-    return frozenset(out)
+    return frozenset([t.binds if isinstance(t, Binder) else t.name
+                      for t in _preorder(term) if isinstance(t, kinds)])
 
 
 def predications(term: Term):
     """``(name, arity)`` of each predication in ``term``."""
+    return ((t.name, len(t.args)) for t in _preorder(term)
+            if isinstance(t, Pred))
+
+
+def _preorder(term: Term):
+    """Every node of ``term``, each before its kids, the last kid's
+    subtree first."""
     stack = [term]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Pred):
-            yield node.name, len(node.args)
-        stack.extend(node.kids())
+        t = stack.pop()
+        yield t
+        stack.extend(t.kids())
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:

@@ -1,10 +1,12 @@
 """The base of the package's immutable value classes.
 
-A value class lists its fields in ``_fields``, in the order of its
-``__init__`` parameters, and keeps them in ``__slots__``, with any hidden
-state after them.  Its ``__init__`` stores each field with ``store``,
-since assigning to an attribute raises.  The base gives it, from the
-fields alone:
+A value class lists its fields in ``_fields`` and keeps them in
+``__slots__``, with any hidden state after them.  The base writes its
+``__init__`` from ``_fields``, taking the fields by position or by name,
+unless the class writes its own: one that converts, checks or defaults a
+field, or sets hidden state, takes the fields in the same order and under
+the same names, and stores each with ``store``, since assigning to an
+attribute raises.  The base also gives it, from the fields alone:
 
 - equality with an instance of the same class whose fields are equal, so
   ``Var("x") != Const("x")``, and a hash that agrees;
@@ -33,6 +35,16 @@ class Value:
         if cls._fields:
             # the field itself for one field, else the tuple of them
             cls._key = attrgetter(*cls._fields)
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            # compiled once per class, as ``namedtuple`` does, so that it
+            # runs as fast as the same constructor written out by hand
+            params = ", ".join(cls._fields)
+            body = "".join(f"\n    store(self, {name!r}, {name})"
+                           for name in cls._fields)
+            namespace = {"store": store, "__name__": cls.__module__}
+            exec(f"def __init__(self, {params}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

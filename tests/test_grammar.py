@@ -219,10 +219,15 @@ class TestApplyArgument:
             return apply_argument(parse_term(r"\y.stirring(y)"), arg)
 
         out = hoist("x1")
-        assert out.var == hoist("kept").var == "x1"
+        assert out.var == hoist("kept").var == "x"
         assert de_bruijn(parse_term(render(out))) == de_bruijn(out)
         # an outer binder of the functor's name leaves it as it is
         assert beta_reduce(App(Lam("x1", out), Const("pot"))) == out
+
+    def test_hoisted_quantifier_keeps_its_own_name_when_nothing_is_in_the_way(self):
+        fun = parse_term(r"\x.\y.stirring(x,y)")
+        out = apply_argument(fun, parse_term("exists z.soup(z)"))
+        assert render(out) == r"exists z.\x.soup(z) & stirring(x,z)"
 
 
 class TestLexicon:

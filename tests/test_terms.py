@@ -1,8 +1,8 @@
 """Unit tests for the term layer: substitution, reduction, equality."""
 
 import copy
+import inspect
 import random
-import typing
 
 import pytest
 
@@ -512,12 +512,18 @@ def concrete_term_classes():
     return sorted(found, key=lambda cls: cls.__name__)
 
 
+# the kind of each node field, by its name: a name, one subterm, or a
+# tuple of them
+FIELD_KINDS = {"name": str, "param": str, "var": str, "args": tuple,
+               "fun": Term, "arg": Term, "body": Term, "left": Term,
+               "right": Term}
+
+
 def field_types(cls):
-    """The annotated type of each field, from the ``__init__`` parameters,
-    which are the fields in order."""
-    hints = typing.get_type_hints(cls.__init__)
-    assert list(hints) == list(cls._fields)
-    return [hints[name] for name in cls._fields]
+    """The kind of each field, in order; the constructor's parameters are
+    the fields, in order."""
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)
+    return [FIELD_KINDS[name] for name in cls._fields]
 
 
 def field_values(node):

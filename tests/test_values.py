@@ -1,6 +1,7 @@
 """The value contract every immutable class of the package keeps: equality
 and hashing by class and fields, the ``repr`` a dataclass would write,
-pickling and copying as its fields, and no assignment."""
+which reads back as an equal value, pickling and copying as its fields,
+and no assignment."""
 
 import copy
 import pickle
@@ -108,6 +109,15 @@ def test_every_value_class_has_an_example():
 @pytest.mark.parametrize("value, text", EXAMPLES, ids=IDS)
 def test_repr_is_pinned(value, text):
     assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_repr_reads_back(value):
+    # each constructor, written by the base or by hand, takes its fields by
+    # the names the ``repr`` gives them
+    namespace = {cls.__name__: cls for cls in value_classes() | {Literal}}
+    again = eval(repr(value), namespace)
+    assert type(again) is type(value) and again == value
 
 
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
