@@ -220,7 +220,7 @@ def synthesize_corpus(base, objects, replicas: int = 15,
     """
     if replicas < 1:
         raise InvalidConfigError(f"replicas must be at least 1, got {replicas}")
-    pool = list(objects)
+    pool = list(dict.fromkeys(objects))
     if replicas > 1 and len(pool) < 2:
         raise InvalidConfigError(
             f"replicas above 1 need at least two object names, got {len(pool)}")

@@ -284,12 +284,12 @@ def parse_axiom(text: str) -> AxiomRule:
 
 
 class _Work:
-    """The working set of the fact base whose ``literals`` it holds."""
+    """The working set of one fact base (see ``FactBase``)."""
 
-    __slots__ = ("literals", "signs", "rules", "probes", "index", "pending")
+    __slots__ = ("signs", "rules", "probes", "index", "pending")
 
     def __init__(self, literals: tuple[Literal, ...]):
-        self.literals, self.signs = literals, defaultdict(dict)
+        self.signs = defaultdict(dict)
         for positive, predicate, args in literals:
             self.signs[predicate][args] = positive
         self.rules, self.probes, self.index, self.pending = (), {}, {}, {}
@@ -297,7 +297,6 @@ class _Work:
     def hand(self, literals: tuple[Literal, ...], retracted) -> "FactBase":
         kb = FactBase(literals, retracted)
         store(kb, "work", self)
-        self.literals = literals
         return kb
 
     def unindex(self, fact: Literal) -> None:
@@ -320,11 +319,11 @@ class FactBase(Value):
     positive}, that is both the member test of ``with_literal`` and the
     known heads of ``forward_chain``; the join index for the rules of the
     last chain; and the positive facts added since.  ``with_literal``,
-    ``assert_event`` and ``forward_chain`` update it in place, without a
-    lock, and hand it to the fact base they return.  It holds the literal
-    tuple it describes, so any other fact base that reaches it (an older
-    value used again) rebuilds its own once.  A copy or a pickle holds the
-    two tuples only and rebuilds its working set on first use.
+    ``assert_event`` and ``forward_chain`` take it from the fact base they
+    read, update it in place, without a lock, and hand it to the fact base
+    they return.  It moves with the value: the fact base read is left
+    without one, so an older value used again, an input whose chain
+    raised, a copy or a pickle rebuilds its own from its two tuples once.
     """
 
     _fields = ("literals", "retracted")
@@ -337,9 +336,10 @@ class FactBase(Value):
         store(self, "work", None)
 
     def _work(self) -> _Work:
-        if self.work is None or self.work.literals is not self.literals:
-            store(self, "work", _Work(self.literals))
-        return self.work
+        """Take the working set, building it if this value has none."""
+        work = self.work or _Work(self.literals)
+        store(self, "work", None)
+        return work
 
     def with_literal(self, literal: Literal) -> "FactBase":
         """Record one ground literal, resolving any contradiction.
@@ -353,7 +353,7 @@ class FactBase(Value):
         """``with_literal`` for each of ``new`` in turn, as one fact base."""
         work = self._work()
         signs, pending = work.signs, work.pending
-        literals, retracted, grown = list(self.literals), self.retracted, False
+        literals, retracted = list(self.literals), self.retracted
         for literal in new:
             positive, predicate, args = literal
             held = signs[predicate]
@@ -370,10 +370,9 @@ class FactBase(Value):
                         work.unindex(contrary)
             held[args] = positive
             literals.append(literal)
-            grown = True
             if positive:
                 pending[literal] = False
-        return work.hand(tuple(literals), retracted) if grown else self
+        return work.hand(tuple(literals), retracted)
 
 
 def _event_literals(form: Term) -> list[Literal]:
@@ -472,7 +471,6 @@ def forward_chain(kb: FactBase, rules, max_derived: int = MAX_DERIVED) -> FactBa
     """
     rules = tuple(rules)
     work = kb._work()
-    work.literals = None  # so that kb rebuilds it if this call fails
     if work.rules != rules:
         # only the buckets that some body literal probes: for each shape,
         # each probed position with its family's key

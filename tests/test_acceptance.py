@@ -1,18 +1,15 @@
-"""Acceptance gate: seven end-to-end checks, one printed line each.
+"""Acceptance gate: six of the seven end-to-end checks, one printed line each.
 
 Each test exercises the full public pipeline on the shipped data and
 prints ``criterion N: PASS`` (or FAIL) so a plain ``pytest -v -rA`` run
-reads as a checklist.  Time limits use wall-clock seconds, but for
-criterion 6, which bounds the CPU seconds of a child process.
+reads as a checklist.  Time limits use wall-clock seconds.  Criterion 6,
+the property suite's bound in CPU seconds, is the last test of
+``test_properties.py``, so that it times the one run of that suite.
 """
 
 import contextlib
-import resource
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +25,6 @@ from actionccg.syntax import parse_term
 from actionccg.terms import alpha_eq, canonical
 from oracles import walk
 
-TESTS_DIR = Path(__file__).parent
 ACTION_CATEGORY = parse_category(r"(AP\NP)/NP")
 
 EXPECTED_LEARNED = {
@@ -159,24 +155,6 @@ def test_criterion_5_rules_strictly_improve_recall(trained_pipeline):
             closed_n = sum(1 for l in gold if l in closed)
             assert (plain_n, closed_n) == (plain_goal, closed_goal), name
             assert closed_n > plain_n, name
-
-
-def test_criterion_6_property_suite_is_green_and_fast():
-    with criterion(6, "randomized invariant suite passes inside a minute"):
-        # other processes on the machine inflate the suite's wall time,
-        # not its CPU seconds
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest",
-             str(TESTS_DIR / "test_properties.py"), "-q",
-             "-p", "no:cacheprovider"],
-            capture_output=True, text=True, cwd=str(TESTS_DIR.parent))
-        wall = time.perf_counter() - start
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert cpu < 60.0, f"{cpu:.1f} CPU seconds, {wall:.1f} s wall time"
 
 
 def test_criterion_7_shipped_data_round_trips(tmp_path):

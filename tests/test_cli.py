@@ -416,6 +416,19 @@ class TestGenCorpusCommand:
         assert err == f"error: replicas must be at least 1, got {replicas}\n"
 
 
+    def test_one_name_under_two_tokens_is_one_diagnostic_line(self, capsys,
+                                                              tmp_path):
+        objects = tmp_path / "dup.lex"
+        objects.write_text("Bowl := N : bowl\nDish := N : bowl\n",
+                           encoding="utf-8")
+        out_path = tmp_path / "dup.corpus"
+        code, out, err = run(capsys, "gen-corpus", "--objects", str(objects),
+                             "--replicas", "2", "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == ("error: replicas above 1 need at least two object "
+                       "names, got 1\n")
+
+
 class TestErrorPaths:
     def test_missing_file_is_one_diagnostic_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "parse",

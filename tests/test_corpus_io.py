@@ -437,6 +437,15 @@ class TestSynthesizeCorpus:
         out = synthesize_corpus(table1_samples, objects, replicas=1)
         assert out == table1_samples
 
+    def test_a_repeated_name_counts_once(self, table1_samples):
+        with pytest.raises(InvalidConfigError) as err:
+            synthesize_corpus(table1_samples, ["bowl", "bowl"], replicas=2)
+        assert str(err.value) == ("replicas above 1 need at least two object "
+                                  "names, got 1")
+        out = synthesize_corpus(table1_samples, ["bowl", "bowl", "cup"],
+                                replicas=15, seed=0)
+        assert all(s.tokens[0] != s.tokens[2] for s in out)
+
     def test_deterministic_for_a_seed(self, table1_samples, seed_lexicon):
         objects = [e.semantics.name for e in seed_lexicon]
         one = synthesize_corpus(table1_samples, objects, replicas=15, seed=0)

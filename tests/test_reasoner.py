@@ -568,6 +568,28 @@ class TestClosedMarker:
         assert repr(closed) == repr(plain)
         assert len({closed, plain}) == 1
 
+    def test_working_set_moves_to_the_result(self):
+        rules = axioms()
+        event = parse_term("hiding(ball,cup) -> contained(ball,cup)")
+        steps = (lambda kb: assert_event(event, kb),
+                 lambda kb: forward_chain(kb, rules))
+        for step in steps:
+            kb = forward_chain(kb_of("contained(box,ball)", "on_top(lid,box)"), rules)
+            assert step(kb).work is not None and kb.work is None
+            # the value read, used again, rebuilds its own once
+            for again in steps:
+                plain = FactBase(kb.literals, kb.retracted)
+                assert forward_chain(again(kb), rules) == forward_chain(again(plain), rules)
+
+    def test_input_of_a_failed_chain_rebuilds_its_working_set(self):
+        grown = forward_chain(kb_of("contained(bucket,ball)"), axioms())
+        grown = grown.with_literal(lit("on_top(box,bucket)"))
+        with pytest.raises(BudgetExceededError):
+            forward_chain(grown, axioms(), max_derived=0)
+        assert grown.work is None
+        plain = FactBase(grown.literals, grown.retracted)
+        assert forward_chain(grown, axioms()) == forward_chain(plain, axioms())
+
     def test_rule_switch_rechains_everything(self):
         kb = kb_of("contained(bucket,ball)", "on_top(box,bucket)",
                    "contained(ball,cup)")
@@ -837,7 +859,7 @@ class WorkingSetMachine(RuleBasedStateMachine):
         sign the literals give it, and indexes every positive fact but
         those added since the last chain."""
         kb, work = self.kb, self.kb.work
-        if work is None or work.literals is not kb.literals:
+        if work is None:
             return
         signs = {}
         for positive, predicate, args in kb.literals:
